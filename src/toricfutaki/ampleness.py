@@ -19,19 +19,38 @@ boundary is flagged marginal rather than silently decided.  The knife-edge
 case is ``m1 = 0``, where the second inequality is exactly zero and fails
 the strict test; the third inequality fails decisively there, so the
 infeasibility conclusion never rests on the marginal comparison.
+
+Two paths evaluate the inequalities.  :func:`check_from_m` and
+:func:`nakai_check` are the scalar path: one pair, one :class:`ConeCheck`
+with every value and flag.  :func:`infeasibility_scan` is a numpy pass over
+blocks of at most ``SCAN_BLOCK`` pairs, visited in the scalar loop's order.
+It computes the same float expressions in the same operation order, and an
+integer quotient ``p/q`` below 2**53 rounds exactly as
+``float(Fraction(p, q))`` does, so every value, flag and verdict is the
+scalar one; the tests keep the pair-by-pair loop as the oracle.  Memory is
+one block, whatever the grid bound and sample count.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
+
+import numpy as np
 
 from .exactnum import RationalLike, as_fraction, format_rational
 
 LOG3 = math.log(3.0)
 MARGINAL_BAND = 1e-12
+# Pairs per block of the vectorized scan.  One block, a few hundred KiB of
+# arrays, is the scan's memory whatever its arguments.
+SCAN_BLOCK = 1 << 12
+# randint ranges of one random pair's draws, in draw order: numerator and
+# denominator of m1, then of m2.
+_DRAW_RANGES = ((-999, 999), (1, 999), (-999, 999), (1, 999))
 
 _INEQUALITY_NAMES = ("a+b>0", "2a-b*log3>0", "b^2*log3-4a^2>0")
 
@@ -153,6 +172,63 @@ class ScanResult:
         }
 
 
+def _cone_values(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three inequality values for float arrays of ``m1`` and ``m2``.
+
+    Each is computed with the float operations of :func:`coefficients_from_m`
+    and :func:`nakai_check`, in the same order, so every element equals the
+    value :func:`check_from_m` gives for that pair.
+    """
+    denom = 2.0 + 3.0 * LOG3
+    a = (m1 + m2 * LOG3) / denom
+    b = (2.0 * m2 - 3.0 * m1) / denom
+    return a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a
+
+
+def _cone_flags(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pair ``feasible`` and "not decisive" flags, equal to those of
+    :func:`check_from_m`: the second marks an infeasible pair with no
+    inequality failing outside ``MARGINAL_BAND``."""
+    feasible = np.ones(m1.shape, dtype=bool)
+    undecided = np.ones(m1.shape, dtype=bool)
+    for v in _cone_values(m1, m2):
+        holds = v > 0.0
+        feasible &= holds
+        undecided &= holds | (np.abs(v) <= MARGINAL_BAND)
+    undecided &= ~feasible
+    return feasible, undecided
+
+
+def _pair_blocks(
+    grid_bound: int, random_samples: int, seed: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The scan's pairs ``(m1, m2) = (p1/q1, p2/q2)`` in visit order, as
+    int64 arrays ``(p1, q1, p2, q2)`` of at most ``SCAN_BLOCK`` pairs.
+
+    The grid comes first, row-major, without the origin; then the seeded
+    random pairs, drawn with the same ``randint`` calls in the same order
+    as a pair-by-pair loop, skipping ``(0, 0)``.
+    """
+    block = SCAN_BLOCK
+    width = 2 * grid_bound + 1
+    origin = grid_bound * width + grid_bound
+    for start in range(0, width * width, block):
+        k = np.arange(start, min(start + block, width * width))
+        k = k[k != origin]
+        ones = np.ones_like(k)
+        yield k // width - grid_bound, ones, k % width - grid_bound, ones
+    randint = Random(seed).randint
+    for start in range(0, random_samples, block):
+        count = min(block, random_samples - start)
+        draws = np.fromiter(
+            (randint(lo, hi) for _ in range(count) for lo, hi in _DRAW_RANGES),
+            dtype=np.int64,
+            count=4 * count,
+        ).reshape(count, 4)
+        p1, q1, p2, q2 = draws[(draws[:, 0] != 0) | (draws[:, 2] != 0)].T
+        yield p1, q1, p2, q2
+
+
 def infeasibility_scan(
     grid_bound: int = 50,
     random_samples: int = 10_000,
@@ -162,40 +238,32 @@ def infeasibility_scan(
     rational pairs, recording any pair passing all three inequalities.
 
     Pairs whose verdict rests entirely on marginal comparisons (every
-    failed inequality within 1e-12 of zero) are reported separately so a
-    reader can audit that no conclusion was decided by float noise; the
-    scan's claim is that ``feasible_pairs`` and ``marginal_pairs`` both
-    stay empty.
+    failed inequality within ``MARGINAL_BAND`` of zero) are reported
+    separately so a reader can audit that no conclusion was decided by
+    float noise; the scan's claim is that ``feasible_pairs`` and
+    ``marginal_pairs`` both stay empty.
+
+    Pairs go through :func:`_cone_flags` one block at a time; keys are
+    formatted only for flagged pairs.
     """
     if grid_bound < 1:
         raise ValueError("grid bound must be at least 1")
+    if random_samples < 0:
+        raise ValueError(f"random sample count must be non-negative, got {random_samples}")
     feasible: list[tuple[str, str]] = []
     marginal: list[tuple[str, str]] = []
     checked = 0
-
-    def visit(m1: Fraction, m2: Fraction) -> None:
-        nonlocal checked
-        checked += 1
-        res = check_from_m(m1, m2)
-        key = (format_rational(m1), format_rational(m2))
-        if res.feasible:
-            feasible.append(key)
-        elif not res.decisive:
-            marginal.append(key)
-
-    for i in range(-grid_bound, grid_bound + 1):
-        for j in range(-grid_bound, grid_bound + 1):
-            if i == 0 and j == 0:
-                continue
-            visit(Fraction(i), Fraction(j))
-
-    rng = Random(seed)
-    for _ in range(random_samples):
-        m1 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        m2 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-        if m1 == 0 and m2 == 0:
-            continue
-        visit(m1, m2)
+    for p1, q1, p2, q2 in _pair_blocks(grid_bound, random_samples, seed):
+        checked += len(p1)
+        # Integers below 2**53 divide to the correctly rounded quotient,
+        # which is exactly float(Fraction(p, q)).
+        is_feasible, undecided = _cone_flags(p1 / q1, p2 / q2)
+        for k in np.flatnonzero(is_feasible | undecided):
+            key = (
+                format_rational(Fraction(int(p1[k]), int(q1[k]))),
+                format_rational(Fraction(int(p2[k]), int(q2[k]))),
+            )
+            (feasible if is_feasible[k] else marginal).append(key)
 
     return ScanResult(
         checked=checked,

@@ -321,6 +321,8 @@ def mc_integrate(
         )
     if seed < 0:
         raise ValueError("seed must be a non-negative int")
+    if chunk_size < 1:
+        raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
     n = P.n
     mins, maxs = P.bounding_box()
     lo = np.array([float(v) for v in mins])

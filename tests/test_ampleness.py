@@ -1,21 +1,78 @@
 """Ampleness cone inequalities and the twist infeasibility scan."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
+from toricfutaki import ampleness
 from toricfutaki.ampleness import (
     LOG3,
     MARGINAL_BAND,
+    ScanResult,
+    _cone_flags,
+    _cone_values,
+    _pair_blocks,
     check_from_m,
     coefficients_from_m,
     derived_inequalities,
     infeasibility_scan,
     nakai_check,
 )
+from toricfutaki.exactnum import format_rational
+
+
+def reference_scan(grid_bound: int, random_samples: int, seed: int) -> ScanResult:
+    """The scan pair by pair: one Fraction pair and one ``check_from_m`` per
+    pair.  The vectorized scan must equal it exactly."""
+    feasible, marginal = [], []
+    checked = 0
+
+    def visit(m1, m2):
+        nonlocal checked
+        checked += 1
+        res = check_from_m(m1, m2)
+        key = (format_rational(m1), format_rational(m2))
+        if res.feasible:
+            feasible.append(key)
+        elif not res.decisive:
+            marginal.append(key)
+
+    for i in range(-grid_bound, grid_bound + 1):
+        for j in range(-grid_bound, grid_bound + 1):
+            if i == 0 and j == 0:
+                continue
+            visit(Fraction(i), Fraction(j))
+    rng = Random(seed)
+    for _ in range(random_samples):
+        m1 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        m2 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
+        if m1 == 0 and m2 == 0:
+            continue
+        visit(m1, m2)
+    return ScanResult(checked, tuple(feasible), tuple(marginal), grid_bound, random_samples, seed)
+
+
+# Module constants the scan reads when called.  A wide band makes
+# undecided pairs; log3 replaced by 1/4 or 9 opens the cone window, so
+# feasible pairs exist (b between 4a and 8a, or between -a and -2a/3).
+CONSTANTS = [
+    {},
+    {"MARGINAL_BAND": 0.05},
+    {"LOG3": 0.25},
+    {"LOG3": 9.0, "MARGINAL_BAND": 0.05},
+]
+
+
+@pytest.fixture(params=CONSTANTS, ids=["default", "wide-band", "log3=1/4", "log3=9,wide-band"])
+def constants(request, monkeypatch):
+    for name, value in request.param.items():
+        monkeypatch.setattr(ampleness, name, value)
+    return request.param
 
 
 class TestCoefficients:
@@ -154,6 +211,89 @@ class TestScan:
         d = infeasibility_scan(grid_bound=2, random_samples=10, seed=1).to_json_dict()
         assert d["all_infeasible"] is True
         assert d["grid_bound"] == 2 and d["random_samples"] == 10
+
+
+class TestVectorizedScan:
+    @staticmethod
+    def assert_flags_match(pairs):
+        """Values and flags of the vectorized pass equal the scalar ones,
+        pair by pair; float ``m`` is exactly ``float(Fraction)``."""
+        m1 = np.array([float(p) for p, _ in pairs])
+        m2 = np.array([float(q) for _, q in pairs])
+        feasible, undecided = _cone_flags(m1, m2)
+        values = _cone_values(m1, m2)
+        for k, (p, q) in enumerate(pairs):
+            res = check_from_m(p, q)
+            assert tuple(float(v[k]) for v in values) == res.values, (p, q)
+            assert feasible[k] == res.feasible, (p, q)
+            assert undecided[k] == (not res.feasible and not res.decisive), (p, q)
+        return feasible, undecided
+
+    def test_flags_match_scalar_on_grid(self, constants):
+        # The grid includes the knife-edge row m1 = 0.
+        pairs = [(Fraction(i), Fraction(j)) for i, j in product(range(-60, 61), repeat=2)]
+        feasible, undecided = self.assert_flags_match(pairs)
+        if "LOG3" in constants:
+            assert feasible.any()
+        if "MARGINAL_BAND" in constants:
+            assert undecided.any()
+
+    def test_flags_match_scalar_on_random_rationals(self, constants):
+        rng = Random(2024)
+        self.assert_flags_match([
+            (Fraction(rng.randint(-999, 999), rng.randint(1, 999)),
+             Fraction(rng.randint(-999, 999), rng.randint(1, 999)))
+            for _ in range(3000)
+        ])
+
+    @pytest.mark.parametrize(
+        "grid_bound, samples, seed",
+        [(1, 0, 0), (2, 10, 1), (3, 200, 7), (12, 500, 42), (40, 3000, 1009)],
+    )
+    def test_scan_equals_reference(self, grid_bound, samples, seed):
+        assert infeasibility_scan(grid_bound, samples, seed) == reference_scan(grid_bound, samples, seed)
+
+    def test_flagged_keys_format_and_order(self, monkeypatch):
+        monkeypatch.setattr(ampleness, "MARGINAL_BAND", 0.05)
+        res = infeasibility_scan(grid_bound=6, random_samples=20_000, seed=3)
+        assert res == reference_scan(6, 20_000, 3)
+        assert res.feasible_pairs == ()
+        # The one grid pair comes first, as integers; random pairs follow,
+        # as reduced fractions.
+        assert res.marginal_pairs[:3] == (("0", "1"), ("-12/875", "309/496"), ("25/228", "339/824"))
+        for m1, m2 in res.marginal_pairs:
+            assert format_rational(Fraction(m1)) == m1
+            assert format_rational(Fraction(m2)) == m2
+
+    def test_feasible_keys_when_window_opens(self, monkeypatch):
+        monkeypatch.setattr(ampleness, "LOG3", 0.25)
+        res = infeasibility_scan(grid_bound=20, random_samples=3000, seed=5)
+        assert res == reference_scan(20, 3000, 5)
+        assert ("1", "18") in res.feasible_pairs
+        assert not res.all_infeasible
+
+    def test_block_boundaries(self, monkeypatch):
+        monkeypatch.setattr(ampleness, "MARGINAL_BAND", 0.05)
+        monkeypatch.setattr(ampleness, "SCAN_BLOCK", 7)
+        for grid_bound, samples, seed in [(3, 49, 7), (4, 50, 11), (5, 7000, 2)]:
+            assert infeasibility_scan(grid_bound, samples, seed) == reference_scan(grid_bound, samples, seed)
+
+    def test_blocks_bound_memory(self):
+        sizes = [len(block[0]) for block in _pair_blocks(60, 10_000, 4)]
+        assert max(sizes) <= ampleness.SCAN_BLOCK
+        assert sum(sizes) == infeasibility_scan(60, 10_000, 4).checked
+        tracemalloc.start()
+        try:
+            infeasibility_scan(grid_bound=300, random_samples=30_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_negative_samples_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            infeasibility_scan(grid_bound=1, random_samples=-5)
+        assert infeasibility_scan(grid_bound=1, random_samples=0).checked == 8
 
 
 class TestMarginalBand:

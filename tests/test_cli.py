@@ -379,6 +379,13 @@ class TestAmpleCheck:
         assert doc["scan"]["all_infeasible"] is True
         assert doc["scan"]["checked"] == 11 * 11 - 1 + 100
 
+    def test_scan_rejects_negative_samples(self, capsys):
+        rc, out, err = run(capsys, "ample-check", "--scan", "--grid-bound", "1",
+                           "--samples", "-5", "--json")
+        assert rc == 1
+        assert out == ""
+        assert "non-negative" in err
+
     def test_requires_pair_or_scan(self, capsys):
         rc, _, err = run(capsys, "ample-check")
         assert rc == 1

@@ -275,6 +275,12 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             mc_integrate(p, lambda a: a[:, 0], samples=MAX_MC_SAMPLES + 1, seed=1)
 
+    def test_chunk_size_validation(self):
+        p = standard_blowup_polytope(2, 3)
+        for chunk_size in (0, -1):
+            with pytest.raises(ValueError, match="chunk size"):
+                mc_integrate(p, lambda a: a[:, 0], samples=10, seed=1, chunk_size=chunk_size)
+
     def test_agrees_with_exact_zero_stderr(self):
         r = MCResult(estimate=4.0, stderr=0.0, samples=1, accepted=1, seed=0)
         assert r.agrees_with(4.0)
