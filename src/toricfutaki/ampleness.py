@@ -38,10 +38,12 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .exactnum import RationalLike, as_fraction, format_rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 LOG3 = math.log(3.0)
 MARGINAL_BAND = 1e-12
@@ -189,6 +191,8 @@ def _cone_flags(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """Per-pair ``feasible`` and "not decisive" flags, equal to those of
     :func:`check_from_m`: the second marks an infeasible pair with no
     inequality failing outside ``MARGINAL_BAND``."""
+    import numpy as np
+
     feasible = np.ones(m1.shape, dtype=bool)
     undecided = np.ones(m1.shape, dtype=bool)
     for v in _cone_values(m1, m2):
@@ -209,6 +213,8 @@ def _pair_blocks(
     random pairs, drawn with the same ``randint`` calls in the same order
     as a pair-by-pair loop, skipping ``(0, 0)``.
     """
+    import numpy as np
+
     block = SCAN_BLOCK
     width = 2 * grid_bound + 1
     origin = grid_bound * width + grid_bound
@@ -250,6 +256,8 @@ def infeasibility_scan(
         raise ValueError("grid bound must be at least 1")
     if random_samples < 0:
         raise ValueError(f"random sample count must be non-negative, got {random_samples}")
+    import numpy as np
+
     feasible: list[tuple[str, str]] = []
     marginal: list[tuple[str, str]] = []
     checked = 0

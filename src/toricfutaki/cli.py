@@ -186,8 +186,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
     a_values = _rational_range(args.a_from, args.a_to, args.step)
     b_values = _rational_range(args.b_from, args.b_to, args.step)
     rows = []
-    for a in a_values:
-        for b in b_values:
+    # b outer: the b-determined half of each report is computed once per b.
+    for b in b_values:
+        for a in a_values:
             row: dict = {
                 "n": args.n,
                 "a": format_rational(a),
@@ -262,7 +263,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def cmd_verify_paper(args: argparse.Namespace) -> int:
     names = None
-    if args.only:
+    if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
     results = run_checks(names, seed=args.seed)
     manifest = RunManifest(

@@ -23,9 +23,10 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
@@ -357,6 +358,8 @@ class MultiPoly:
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         """Float evaluation on an ``(m, n)`` array of points."""
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array")
@@ -591,6 +594,8 @@ class RadialSum:
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         """Float evaluation on an ``(m, n)`` array of points."""
+        import numpy as np
+
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.n:
             raise ValueError(f"expected an (m, {self.n}) array")

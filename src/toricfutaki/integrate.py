@@ -25,9 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .exactnum import (
     LogLinear,
@@ -38,6 +36,9 @@ from .exactnum import (
     mat_det,
 )
 from .polytope import DelzantPolytope, Point, Simplex
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _as_poly(n: int, p: MultiPoly | RationalLike) -> MultiPoly:
@@ -323,6 +324,8 @@ def mc_integrate(
         raise ValueError("seed must be a non-negative int")
     if chunk_size < 1:
         raise ValueError(f"chunk size must be at least 1, got {chunk_size}")
+    import numpy as np
+
     n = P.n
     mins, maxs = P.bounding_box()
     lo = np.array([float(v) for v in mins])

@@ -19,8 +19,6 @@ from fractions import Fraction
 from random import Random
 from typing import Callable
 
-import numpy as np
-
 from .ampleness import check_from_m, infeasibility_scan
 from .character import (
     assembled_ratio_closed_form,
@@ -433,10 +431,17 @@ CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
 def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResult]:
-    """Run the named checks (all by default) in registry order."""
+    """Run the named checks (all by default) in registry order.
+
+    An empty selection is refused: it would report success on nothing.
+    """
     if names is None:
         selected = set(CHECK_NAMES)
     else:
+        if not names:
+            raise ValueError(
+                f"no checks selected; available: {', '.join(CHECK_NAMES)}"
+            )
         unknown = sorted(set(names) - set(CHECK_NAMES))
         if unknown:
             raise ValueError(

@@ -4,8 +4,11 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toricfutaki.character import (
+    SLAB_CACHE_SIZE,
     InconsistencyError,
     Verdict,
     alpha_futaki_axis,
@@ -19,10 +22,12 @@ from toricfutaki.character import (
     required_ratio,
     two_parameter_ratio,
     verdict,
+    _axis_terms,
+    _slab_terms,
 )
 from toricfutaki.exactnum import MultiPoly, RadialSum
 from toricfutaki.family import make_spec
-from toricfutaki.integrate import integrate_poly, integrate_radial_slab, volume
+from toricfutaki.integrate import c_constant, integrate_poly, integrate_radial_slab, volume
 from toricfutaki.polytope import DelzantPolytope, HalfSpace, standard_blowup_polytope
 
 
@@ -242,6 +247,62 @@ class TestAxisSymmetryGuard:
         s3 = make_spec(3, 3, 2)
         assert {classical_futaki_axis(p3, i) for i in range(3)} == {F(1, 12)}
         assert {bulk_axis(s3, i, p3) for i in range(3)} == {F(3, 196)}
+
+
+class TestSlabMemo:
+    """The memoized b-determined terms against the generic per-axis path."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        n=st.integers(2, 5),
+        a=st.builds(Fraction, st.integers(1, 30), st.integers(1, 4)),
+        b=st.builds(lambda p, q: 1 + Fraction(p, q), st.integers(1, 12), st.integers(1, 4)),
+        same=st.booleans(),
+    )
+    @example(n=2, a=F(3), b=F(3), same=False)
+    @example(n=3, a=F(5, 2), b=F(5, 2), same=True)
+    @example(n=2, a=F(3, 2), b=F(3), same=False)
+    @example(n=4, a=F(1), b=F(2), same=False)
+    def test_memo_matches_generic_axes(self, n, a, b, same):
+        spec = make_spec(n, b if same else a, b, force=True)
+        P = standard_blowup_polytope(n, b)
+        slab = _slab_terms(n, spec.b)
+        bd, bk = _axis_terms(spec)
+        assert slab.volume == volume(P)
+        for i in range(n):
+            assert slab.centres[i] == c_constant(P, i)
+            assert slab.boundary[i] == classical_futaki_axis(P, i) == bd
+            assert bulk_axis(spec, i, P) == bk
+
+    def test_b_spelling_does_not_matter(self):
+        _slab_terms.cache_clear()
+        docs = [
+            build_report(make_spec(2, 11, b), 2, F(-1, 4)).to_json_dict()
+            for b in (3, "6/2", F(3))
+        ]
+        assert docs[0] == docs[1] == docs[2]
+        info = _slab_terms.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_cache_stays_bounded(self):
+        _slab_terms.cache_clear()
+        for k in range(SLAB_CACHE_SIZE + 5):
+            _slab_terms(2, 1 + F(k + 1, 7))
+        info = _slab_terms.cache_info()
+        assert info.maxsize == SLAB_CACHE_SIZE
+        assert info.currsize == SLAB_CACHE_SIZE
+        assert info.misses == SLAB_CACHE_SIZE + 5
+
+    @pytest.mark.parametrize("b", [F(1), F(1, 2), F(-3)])
+    def test_degenerate_b_raises_every_time_and_is_not_cached(self, b):
+        _slab_terms.cache_clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="must exceed 1") as exc:
+                _slab_terms(2, b)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+        assert _slab_terms.cache_info().currsize == 0
 
 
 class TestTwoParameterClasses:

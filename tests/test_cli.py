@@ -1,12 +1,19 @@
 """End-to-end CLI behavior: output documents, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import toricfutaki
 from toricfutaki import cli
+from toricfutaki.character import SLAB_CACHE_SIZE, _slab_terms
 from toricfutaki.polytope import DelzantPolytope, HalfSpace
-from toricfutaki.verify import CheckResult
+from toricfutaki.verify import CheckResult, run_checks
 
 
 def run(capsys, *argv):
@@ -171,6 +178,38 @@ class TestScan:
                          "--b-from", "2", "--b-to", "2", "--step", "0")
         assert rc == 1 and "step" in err
 
+    def test_each_b_computed_once_past_the_cache_size(self, capsys):
+        # Two a columns over more distinct b than the memo holds: with b as
+        # the outer loop every solvable b is a single miss; a-major order
+        # would evict each b before its second row.
+        step = Fraction(1, 16)
+        b_from = 1 + step
+        b_to = b_from + (SLAB_CACHE_SIZE + 1) * step
+        _slab_terms.cache_clear()
+        doc = run_json(
+            capsys, "scan", "--n", "2", "--a-from", "3", "--a-to", "49/16",
+            "--b-from", str(b_from), "--b-to", str(b_to), "--step", str(step), "--json",
+        )
+        rows = doc["rows"]
+        assert len(rows) == 2 * (SLAB_CACHE_SIZE + 2)
+        solvable_b = {r["b"] for r in rows if r["solvable"]}
+        assert len(solvable_b) > SLAB_CACHE_SIZE
+        info = _slab_terms.cache_info()
+        assert info.misses == len(solvable_b)
+        assert info.hits == sum(r["solvable"] for r in rows) - len(solvable_b)
+        # Unchanged output: the n = 2 closed forms of verify's n2 checks.
+        for r in rows:
+            if not r["solvable"]:
+                assert r["boundary_term"] == r["bulk_term"] == r["required_ratio"] == ""
+                continue
+            a, b = Fraction(r["a"]), Fraction(r["b"])
+            c = -(b**2 + b + 1) / (3 * (b + 1))
+            B = 1 - (a * b - 1) / (b**2 - 1)
+            assert Fraction(r["boundary_term"]) == b**2 + c * (3 * b - 1)
+            assert Fraction(r["bulk_term"]) == B**2 * (b - 1) ** 3 / (6 * b**2)
+            ratio = "undefined" if a == b else str(-(b**2 - 1) / (b - a) ** 2)
+            assert r["required_ratio"] == ratio
+
 
 class TestVerifyPaper:
     def test_subset_passes(self, capsys):
@@ -190,6 +229,18 @@ class TestVerifyPaper:
         rc, _, err = run(capsys, "verify-paper", "--only", "nonsense")
         assert rc == 1
         assert "nonsense" in err
+
+    @pytest.mark.parametrize("only", [",", "", " , "])
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_empty_selection_rejected(self, capsys, only, mode):
+        rc, out, err = run(capsys, "verify-paper", "--only", only, *mode)
+        assert rc == 1
+        assert out == ""
+        assert "no checks selected" in err
+
+    def test_empty_selection_rejected_by_library(self):
+        with pytest.raises(ValueError, match="no checks selected"):
+            run_checks([])
 
     def test_failure_exits_three(self, capsys, monkeypatch):
         fake = [CheckResult(name="n2-ratio", passed=False, anchor="x", detail="boom")]
@@ -410,3 +461,21 @@ class TestTopLevel:
     def test_no_command(self, capsys):
         assert cli.main([]) == 1
         capsys.readouterr()
+
+    def test_exact_commands_do_not_import_numpy(self):
+        script = (
+            "import contextlib, io, sys\n"
+            "import toricfutaki, toricfutaki.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    rc = cli.main(['character', '--n', '2', '--a', '11', '--b', '3', '--json'])\n"
+            "print(rc, 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(toricfutaki.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
