@@ -7,7 +7,9 @@ access to polytope data, family data, single integrals, the ruled-surface
 cross-check, and the ampleness scan.  All numeric parameters are parsed
 as exact rationals; floats are rejected.  Output is plain text by default
 and a stable JSON document under ``--json`` (insertion-ordered keys, no
-timestamps, seeds recorded), so repeated runs are byte-identical.
+timestamps, seeds recorded), so repeated runs are byte-identical.  Each
+``cmd_*`` hands its options, its JSON body and a lazy text generator to
+``_finish``, which adds the run manifest and prints one form or the other.
 
 Exit codes: 0 success, 1 usage or data error, 2 unsolvable parameters
 (the radial hypothesis fails and ``--force`` was not given), 3
@@ -18,23 +20,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from . import __version__
 from .ampleness import check_from_m, infeasibility_scan
 from .character import (
+    Verdict,
     build_report,
     kf_ruled_ratio,
     required_ratio,
     two_parameter_ratio,
 )
 from .exactnum import LogLinear, RadialSum, format_rational, parse_rational
-from .exprparse import PolyParseError, parse_poly
+from .exprparse import parse_poly
 from .family import UnsolvableClassError, make_spec, solvable, transition_map
 from .integrate import (
     facet_sigma,
@@ -49,26 +51,38 @@ from .polytope import DelzantPolytope, standard_blowup_polytope
 from .verify import CHECK_NAMES, run_checks
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility header attached to every JSON document."""
+def _finish(
+    args: argparse.Namespace,
+    options: dict,
+    body: dict,
+    text: Iterable[str],
+    seed: int | None = None,
+) -> int:
+    """Print one command's result and return exit code 0.
 
-    command: str
-    options: dict
-    seed: int | None
-    version: str
+    Under ``--json`` the document is the run manifest (command, options,
+    seed, version) followed by ``body``; otherwise the ``text`` lines are
+    printed, so a JSON run never formats them.
+    """
+    if args.json:
+        manifest = {"command": args.command, "options": options, "seed": seed,
+                    "version": __version__}
+        print(json.dumps({"manifest": manifest, **body}, indent=2))
+    else:
+        for line in text:
+            print(line)
+    return 0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "options": self.options,
-            "seed": self.seed,
-            "version": self.version,
-        }
+
+def _options(args: argparse.Namespace, *names: str) -> dict:
+    """The named options for the manifest, rationals as ``p/q`` strings."""
+    return {name: _json_value(getattr(args, name)) for name in names}
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _json_value(v):
+    if isinstance(v, tuple):
+        return [_json_value(c) for c in v]
+    return format_rational(v) if isinstance(v, Fraction) else v
 
 
 def _rat_arg(text: str) -> Fraction:
@@ -104,69 +118,52 @@ def cmd_character(args: argparse.Namespace) -> int:
             raise ValueError("--kahler and --bundle must be given together")
         if args.a is not None or args.b is not None:
             raise ValueError("give either --a/--b or --kahler/--bundle, not both")
+        if args.alpha0 is not None or args.force:
+            raise ValueError("--kahler/--bundle take no --alpha0/--alpha1 and no --force")
         result = two_parameter_ratio(args.n, args.kahler, args.bundle)
-        manifest = RunManifest(
-            "character",
-            {
-                "n": args.n,
-                "kahler": [format_rational(v) for v in args.kahler],
-                "bundle": [format_rational(v) for v in args.bundle],
-            },
-            None,
-            __version__,
-        )
-        if args.json:
-            _emit_json({"manifest": manifest.to_json_dict(), "two_parameter": result})
-        else:
-            print(f"n = {args.n}, kahler class {args.kahler[0]}*H - {args.kahler[1]}*E, "
-                  f"bundle class {args.bundle[0]}*H - {args.bundle[1]}*E")
-            print(f"reduced parameters: a = {result['reduced_a']}, b = {result['reduced_b']}")
-            print(f"scale factor s/r^2 = {result['scale']}")
-            ratio = result["required_ratio"]
-            print(f"required ratio alpha1/alpha0 = {ratio if ratio is not None else 'undefined'}")
-            print("note: two-parameter reduction is experimental")
-        return 0
+        options = _options(args, "n", "kahler", "bundle")
+
+        def two_parameter_text():
+            yield (f"n = {args.n}, kahler class {args.kahler[0]}*H - {args.kahler[1]}*E, "
+                   f"bundle class {args.bundle[0]}*H - {args.bundle[1]}*E")
+            yield f"reduced parameters: a = {result['reduced_a']}, b = {result['reduced_b']}"
+            yield f"scale factor s/r^2 = {result['scale']}"
+            yield f"required ratio alpha1/alpha0 = {result['required_ratio'] or 'undefined'}"
+            yield "note: two-parameter reduction is experimental"
+
+        return _finish(args, options, {"two_parameter": result}, two_parameter_text())
 
     if args.a is None or args.b is None:
         raise ValueError("--a and --b are required")
     spec = make_spec(args.n, args.a, args.b, force=args.force)
     report = build_report(spec, args.alpha0, args.alpha1)
-    manifest = RunManifest(
-        "character",
-        {
-            "n": args.n,
-            "a": format_rational(spec.a),
-            "b": format_rational(spec.b),
-            "alpha0": None if args.alpha0 is None else format_rational(args.alpha0),
-            "alpha1": None if args.alpha1 is None else format_rational(args.alpha1),
-            "force": args.force,
-        },
-        None,
-        __version__,
-    )
-    if args.json:
-        _emit_json({"manifest": manifest.to_json_dict(), "report": report.to_json_dict()})
-        return 0
-    print(f"n = {report.n}, a = {format_rational(report.a)}, b = {format_rational(report.b)}")
-    print(f"profile slopes: A = {_rf(report.A)}, B = {_rf(report.B)}, lambda = {_rf(report.lam)}")
-    print(f"solvable: {'yes' if report.solvable else 'NO (formal evaluation under --force)'}")
-    print(f"boundary term = {_rf(report.boundary_term)}")
-    print(f"bulk term     = {_rf(report.bulk_term)}")
-    print(f"required ratio alpha1/alpha0 = {_rf(report.required_ratio)}")
-    if report.closed_form_discrepancy:
-        print(f"closed-form note: {report.closed_form_discrepancy}")
-    if report.character is not None:
-        print(
-            f"character at (alpha0, alpha1) = "
-            f"({format_rational(report.alpha0)}, {format_rational(report.alpha1)}): "
-            f"{_rf(report.character)}"
-        )
-        print(f"verdict: {report.verdict.value}")
-    return 0
+    options = _options(args, "n", "a", "b", "alpha0", "alpha1", "force")
+
+    def text():
+        yield f"n = {report.n}, a = {format_rational(report.a)}, b = {format_rational(report.b)}"
+        yield f"profile slopes: A = {_rf(report.A)}, B = {_rf(report.B)}, lambda = {_rf(report.lam)}"
+        yield f"solvable: {'yes' if report.solvable else 'NO (formal evaluation under --force)'}"
+        yield f"boundary term = {_rf(report.boundary_term)}"
+        yield f"bulk term     = {_rf(report.bulk_term)}"
+        yield f"required ratio alpha1/alpha0 = {_rf(report.required_ratio)}"
+        if report.closed_form_discrepancy:
+            yield f"closed-form note: {report.closed_form_discrepancy}"
+        if report.character is not None:
+            yield (
+                f"character at (alpha0, alpha1) = "
+                f"({format_rational(report.alpha0)}, {format_rational(report.alpha1)}): "
+                f"{_rf(report.character)}"
+            )
+            yield f"verdict: {report.verdict.value}"
+
+    return _finish(args, options, {"report": report.to_json_dict()}, text())
 
 
 # ---------------------------------------------------------------------------
 # scan
+
+# The verdicts a scan row reports; any other verdict at weights (1, 1) prints "".
+_SCAN_VERDICTS = (Verdict.OBSTRUCTED_FOR_POSITIVE_ALPHA, Verdict.NO_VANISHING_POSSIBLE)
 
 
 def _rational_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
@@ -174,87 +171,48 @@ def _rational_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
         raise ValueError(f"empty range: {lo} > {hi}")
-    out = []
-    v = lo
-    while v <= hi:
-        out.append(v)
-        v += step
-    return out
+    return [lo + k * step for k in range((hi - lo) // step + 1)]
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     a_values = _rational_range(args.a_from, args.a_to, args.step)
     b_values = _rational_range(args.b_from, args.b_to, args.step)
+    fields = ["n", "a", "b", "solvable", "boundary_term", "bulk_term", "required_ratio", "verdict"]
     rows = []
     # b outer: the b-determined half of each report is computed once per b.
     for b in b_values:
         for a in a_values:
-            row: dict = {
-                "n": args.n,
-                "a": format_rational(a),
-                "b": format_rational(b),
-            }
-            if b <= 1 or a <= 0:
-                row.update(
-                    solvable=False, boundary_term="", bulk_term="",
-                    required_ratio="", verdict="",
-                )
-                rows.append(row)
-                continue
-            ok = solvable(args.n, a, b)
-            row["solvable"] = ok
-            if not ok:
-                row.update(boundary_term="", bulk_term="", required_ratio="", verdict="")
-                rows.append(row)
-                continue
-            report = build_report(make_spec(args.n, a, b))
-            ratio = report.required_ratio
-            if ratio is None:
-                verdict = "NoVanishingPossible" if report.boundary_term != 0 else ""
-            elif ratio < 0:
-                verdict = "ObstructedForPositiveAlpha"
-            else:
-                verdict = ""
-            row.update(
-                boundary_term=format_rational(report.boundary_term),
-                bulk_term=format_rational(report.bulk_term),
-                required_ratio="undefined" if ratio is None else format_rational(ratio),
-                verdict=verdict,
-            )
-            rows.append(row)
+            ok = b > 1 and a > 0 and solvable(args.n, a, b)
+            values = ["", "", "", ""]
+            if ok:
+                report = build_report(make_spec(args.n, a, b), 1, 1)
+                ratio = report.required_ratio
+                values = [
+                    format_rational(report.boundary_term),
+                    format_rational(report.bulk_term),
+                    "undefined" if ratio is None else format_rational(ratio),
+                    report.verdict.value if report.verdict in _SCAN_VERDICTS else "",
+                ]
+            row = [args.n, format_rational(a), format_rational(b), ok, *values]
+            rows.append(dict(zip(fields, row)))
     rows.sort(key=lambda r: (Fraction(r["a"]), Fraction(r["b"])))
 
-    fields = ["n", "a", "b", "solvable", "boundary_term", "bulk_term", "required_ratio", "verdict"]
-    manifest = RunManifest(
-        "scan",
-        {
-            "n": args.n,
-            "a_from": format_rational(args.a_from),
-            "a_to": format_rational(args.a_to),
-            "b_from": format_rational(args.b_from),
-            "b_to": format_rational(args.b_to),
-            "step": format_rational(args.step),
-        },
-        None,
-        __version__,
-    )
     if args.csv:
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
+            writer = csv.DictWriter(fh, fieldnames=fields, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
         print(f"wrote {len(rows)} rows to {args.csv}")
         return 0
-    if args.json:
-        _emit_json({"manifest": manifest.to_json_dict(), "rows": rows})
-        return 0
-    print("  ".join(fields))
-    for row in rows:
-        print("  ".join(str(row[f]) for f in fields))
-    print(f"{len(rows)} rows")
-    return 0
+    options = _options(args, "n", "a_from", "a_to", "b_from", "b_to", "step")
+
+    def text():
+        yield "  ".join(fields)
+        for row in rows:
+            yield "  ".join(str(row[f]) for f in fields)
+        yield f"{len(rows)} rows"
+
+    return _finish(args, options, {"rows": rows}, text())
 
 
 # ---------------------------------------------------------------------------
@@ -266,29 +224,22 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
     results = run_checks(names, seed=args.seed)
-    manifest = RunManifest(
-        "verify-paper",
-        {"only": names},
-        args.seed,
-        __version__,
-    )
     passed = sum(1 for r in results if r.passed)
-    if args.json:
-        _emit_json(
-            {
-                "manifest": manifest.to_json_dict(),
-                "checks": [r.to_json_dict() for r in results],
-                "passed": passed,
-                "total": len(results),
-                "ok": passed == len(results),
-            }
-        )
-    else:
+    body = {
+        "checks": [r.to_json_dict() for r in results],
+        "passed": passed,
+        "total": len(results),
+        "ok": passed == len(results),
+    }
+
+    def text():
         width = max(len(r.name) for r in results)
         for r in results:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}")
-        print(f"RESULT: {passed}/{len(results)} checks passed (seed {args.seed})")
-    return 0 if passed == len(results) else 3
+            yield f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
+        yield f"RESULT: {passed}/{len(results)} checks passed (seed {args.seed})"
+
+    _finish(args, {"only": names}, body, text(), seed=args.seed)
+    return 0 if body["ok"] else 3
 
 
 # ---------------------------------------------------------------------------
@@ -302,40 +253,41 @@ def _load_polytope(args: argparse.Namespace) -> DelzantPolytope:
         parts = args.standard.split(",")
         if len(parts) != 2:
             raise ValueError(f"--standard expects N,B; got {args.standard!r}")
-        n = int(parts[0])
-        return standard_blowup_polytope(n, parse_rational(parts[1]))
+        return standard_blowup_polytope(int(parts[0]), parse_rational(parts[1]))
     with open(args.file, "r", encoding="utf-8") as fh:
         return DelzantPolytope.from_json_dict(json.load(fh))
+
+
+def _point(v) -> str:
+    return "(" + ", ".join(format_rational(c) for c in v) + ")"
 
 
 def cmd_polytope(args: argparse.Namespace) -> int:
     P = _load_polytope(args)
     vol = volume(P)
     sigmas = [facet_sigma(P, i) for i in range(P.num_facets)]
-    manifest = RunManifest("polytope", {"source": args.standard or args.file}, None, __version__)
-    if args.json:
-        _emit_json(
-            {
-                "manifest": manifest.to_json_dict(),
-                "polytope": P.to_json_dict(),
-                "vertices": [[format_rational(c) for c in v] for v in P.vertices()],
-                "volume": format_rational(vol),
-                "volume_float": float(vol),
-                "facet_sigma": [format_rational(s) for s in sigmas],
-                "is_delzant": P.is_delzant(),
-            }
-        )
-        return 0
-    print(f"n = {P.n}, facets = {P.num_facets}, vertices = {len(P.vertices())}")
-    for i, h in enumerate(P.halfspaces):
-        print(f"  facet[{i}]: v = {h.v}, lam = {format_rational(h.lam)}, "
-              f"sigma measure = {_rf(sigmas[i])}")
-    print("vertices:")
-    for v in P.vertices():
-        print("  (" + ", ".join(format_rational(c) for c in v) + ")")
-    print(f"volume = {_rf(vol)}")
-    print(f"delzant: {'yes' if P.is_delzant() else 'no'}")
-    return 0
+    vertices = P.vertices()
+    body = {
+        "polytope": P.to_json_dict(),
+        "vertices": [[format_rational(c) for c in v] for v in vertices],
+        "volume": format_rational(vol),
+        "volume_float": float(vol),
+        "facet_sigma": [format_rational(s) for s in sigmas],
+        "is_delzant": P.is_delzant(),
+    }
+
+    def text():
+        yield f"n = {P.n}, facets = {P.num_facets}, vertices = {len(vertices)}"
+        for i, h in enumerate(P.halfspaces):
+            yield (f"  facet[{i}]: v = {h.v}, lam = {format_rational(h.lam)}, "
+                   f"sigma measure = {_rf(sigmas[i])}")
+        yield "vertices:"
+        for v in vertices:
+            yield "  " + _point(v)
+        yield f"volume = {_rf(vol)}"
+        yield f"delzant: {'yes' if body['is_delzant'] else 'no'}"
+
+    return _finish(args, {"source": args.standard or args.file}, body, text())
 
 
 # ---------------------------------------------------------------------------
@@ -344,47 +296,32 @@ def cmd_polytope(args: argparse.Namespace) -> int:
 
 def cmd_family(args: argparse.Namespace) -> int:
     spec = make_spec(args.n, args.a, args.b, force=args.force)
-    source = standard_blowup_polytope(spec.n, spec.b)
-    images = [transition_map(spec, v) for v in source.vertices()]
-    manifest = RunManifest(
-        "family",
-        {
-            "n": args.n,
-            "a": format_rational(spec.a),
-            "b": format_rational(spec.b),
-            "force": args.force,
-        },
-        None,
-        __version__,
-    )
-    if args.json:
-        _emit_json(
+    vertices = standard_blowup_polytope(spec.n, spec.b).vertices()
+    images = [transition_map(spec, v) for v in vertices]
+    body = {
+        "A": format_rational(spec.A),
+        "B": format_rational(spec.B),
+        "lambda": format_rational(spec.lam),
+        "solvable": spec.solvable,
+        "integral_class": spec.integral_class,
+        "vertex_images": [
             {
-                "manifest": manifest.to_json_dict(),
-                "A": format_rational(spec.A),
-                "B": format_rational(spec.B),
-                "lambda": format_rational(spec.lam),
-                "solvable": spec.solvable,
-                "integral_class": spec.integral_class,
-                "vertex_images": [
-                    {
-                        "vertex": [format_rational(c) for c in v],
-                        "image": [format_rational(c) for c in u],
-                    }
-                    for v, u in zip(source.vertices(), images)
-                ],
+                "vertex": [format_rational(c) for c in v],
+                "image": [format_rational(c) for c in u],
             }
-        )
-        return 0
-    print(f"n = {spec.n}, a = {format_rational(spec.a)}, b = {format_rational(spec.b)}")
-    print(f"A = {_rf(spec.A)}, B = {_rf(spec.B)}, lambda = {_rf(spec.lam)}")
-    print(f"solvable: {'yes' if spec.solvable else 'NO (formal evaluation under --force)'}")
-    print("vertex images under the transition map:")
-    for v, u in zip(source.vertices(), images):
-        vs = ", ".join(format_rational(c) for c in v)
-        us = ", ".join(format_rational(c) for c in u)
-        print(f"  ({vs}) -> ({us})")
-    return 0
+            for v, u in zip(vertices, images)
+        ],
+    }
+
+    def text():
+        yield f"n = {spec.n}, a = {format_rational(spec.a)}, b = {format_rational(spec.b)}"
+        yield f"A = {_rf(spec.A)}, B = {_rf(spec.B)}, lambda = {_rf(spec.lam)}"
+        yield f"solvable: {'yes' if spec.solvable else 'NO (formal evaluation under --force)'}"
+        yield "vertex images under the transition map:"
+        for v, u in zip(vertices, images):
+            yield f"  {_point(v)} -> {_point(u)}"
+
+    return _finish(args, _options(args, "n", "a", "b", "force"), body, text())
 
 
 # ---------------------------------------------------------------------------
@@ -424,40 +361,28 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     as_float = float(value)
     if log_base is not None:
         as_float = LogLinear(value, log_coeff).to_float(log_base)
-    manifest = RunManifest(
-        "integrate",
-        {
-            "source": args.standard or args.file,
-            "poly": args.poly,
-            "facet": args.facet,
-            "boundary": args.boundary,
-            "radial_power": args.radial_power,
-        },
-        None,
-        __version__,
-    )
-    if args.json:
-        _emit_json(
-            {
-                "manifest": manifest.to_json_dict(),
-                "domain": domain,
-                "exact": format_rational(value),
-                "log_coeff": format_rational(log_coeff),
-                "log_base": None if log_base is None else format_rational(log_base),
-                "float": as_float,
-            }
-        )
-        return 0
-    print(f"domain: {domain}")
-    if log_coeff != 0:
-        print(
-            f"exact = {format_rational(value)} + {format_rational(log_coeff)}"
-            f"*log({format_rational(log_base)})"
-        )
-    else:
-        print(f"exact = {format_rational(value)}")
-    print(f"float = {as_float:.12g}")
-    return 0
+    options = {
+        "source": args.standard or args.file,
+        **_options(args, "poly", "facet", "boundary", "radial_power"),
+    }
+    body = {
+        "domain": domain,
+        "exact": format_rational(value),
+        "log_coeff": format_rational(log_coeff),
+        "log_base": _json_value(log_base),
+        "float": as_float,
+    }
+
+    def text():
+        yield f"domain: {domain}"
+        if log_coeff != 0:
+            yield (f"exact = {format_rational(value)} + {format_rational(log_coeff)}"
+                   f"*log({format_rational(log_base)})")
+        else:
+            yield f"exact = {format_rational(value)}"
+        yield f"float = {as_float:.12g}"
+
+    return _finish(args, options, body, text())
 
 
 # ---------------------------------------------------------------------------
@@ -476,49 +401,34 @@ def cmd_kf_check(args: argparse.Namespace) -> int:
         if e <= 0 or h <= e:
             raise ValueError(f"blow-up class {h}*H - {e}*E is not Kahler; no cross-check")
         a = Fraction(h, e)
-        spec = make_spec(2, a, 3)
-        pipeline = required_ratio(spec)
+        pipeline = required_ratio(make_spec(2, a, 3))
         scaled = None if pipeline is None else pipeline * Fraction(1, e**2)
         cross = {
             "class": ruled.blowup_class_str,
             "reduced_a": format_rational(a),
             "b": "3",
-            "pipeline_ratio": None if scaled is None else format_rational(scaled),
+            "pipeline_ratio": _json_value(scaled),
             "match": scaled == ruled.ratio,
         }
-    manifest = RunManifest(
-        "kf-check",
-        {
-            "genus": args.genus,
-            "k": args.k,
-            "kprime": args.kprime,
-            "k1": args.k1,
-            "k2": args.k2,
-        },
-        None,
-        __version__,
-    )
-    if args.json:
-        payload = {
-            "manifest": manifest.to_json_dict(),
-            "ratio": format_rational(ruled.ratio),
-            "ratio_float": float(ruled.ratio),
-            "blowup_class": ruled.blowup_class_str,
-            "cross_check": cross,
-        }
-        _emit_json(payload)
-        return 0
-    print(
-        f"genus {args.genus}, degrees (k, k') = ({args.k}, {args.kprime}), "
-        f"polarization (k1, k2) = ({args.k1}, {args.k2})"
-    )
-    print(f"required ratio = {_rf(ruled.ratio)}")
-    if ruled.blowup_class_str:
-        print(f"one-point blow-up class: {ruled.blowup_class_str}")
-    if cross is not None:
-        status = "MATCH" if cross["match"] else "MISMATCH"
-        print(f"pipeline cross-check on {cross['class']}: {cross['pipeline_ratio']} [{status}]")
-    return 0
+    options = _options(args, "genus", "k", "kprime", "k1", "k2")
+    body = {
+        "ratio": format_rational(ruled.ratio),
+        "ratio_float": float(ruled.ratio),
+        "blowup_class": ruled.blowup_class_str,
+        "cross_check": cross,
+    }
+
+    def text():
+        yield (f"genus {args.genus}, degrees (k, k') = ({args.k}, {args.kprime}), "
+               f"polarization (k1, k2) = ({args.k1}, {args.k2})")
+        yield f"required ratio = {_rf(ruled.ratio)}"
+        if ruled.blowup_class_str:
+            yield f"one-point blow-up class: {ruled.blowup_class_str}"
+        if cross is not None:
+            status = "MATCH" if cross["match"] else "MISMATCH"
+            yield f"pipeline cross-check on {cross['class']}: {cross['pipeline_ratio']} [{status}]"
+
+    return _finish(args, options, body, text())
 
 
 # ---------------------------------------------------------------------------
@@ -530,43 +440,32 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
         result = infeasibility_scan(
             grid_bound=args.grid_bound, random_samples=args.samples, seed=args.seed
         )
-        manifest = RunManifest(
-            "ample-check",
-            {"scan": True, "grid_bound": args.grid_bound, "samples": args.samples},
-            args.seed,
-            __version__,
-        )
-        if args.json:
-            _emit_json({"manifest": manifest.to_json_dict(), "scan": result.to_json_dict()})
-            return 0
-        print(
-            f"checked {result.checked} pairs (grid |m| <= {result.grid_bound}, "
-            f"{result.random_samples} random rational pairs, seed {result.seed})"
-        )
-        print(f"feasible pairs: {len(result.feasible_pairs)}")
-        print(f"marginal (knife-edge) pairs: {len(result.marginal_pairs)}")
-        print(f"all infeasible: {'yes' if result.all_infeasible else 'NO'}")
-        return 0
+        options = {"scan": True, "grid_bound": args.grid_bound, "samples": args.samples}
+
+        def scan_text():
+            yield (f"checked {result.checked} pairs (grid |m| <= {result.grid_bound}, "
+                   f"{result.random_samples} random rational pairs, seed {result.seed})")
+            yield f"feasible pairs: {len(result.feasible_pairs)}"
+            yield f"marginal (knife-edge) pairs: {len(result.marginal_pairs)}"
+            yield f"all infeasible: {'yes' if result.all_infeasible else 'NO'}"
+
+        return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), seed=args.seed)
     if args.m1 is None or args.m2 is None:
         raise ValueError("give --m1 and --m2, or --scan")
     res = check_from_m(args.m1, args.m2)
-    manifest = RunManifest(
-        "ample-check",
-        {"m1": format_rational(args.m1), "m2": format_rational(args.m2)},
-        None,
-        __version__,
-    )
-    if args.json:
-        _emit_json({"manifest": manifest.to_json_dict(), "check": res.to_json_dict()})
-        return 0
-    print(f"(m1, m2) = ({format_rational(args.m1)}, {format_rational(args.m2)})")
-    print(f"candidate coefficients: a = {res.a:.12g}, b = {res.b:.12g}")
-    for entry in res.to_json_dict()["inequalities"]:
-        flag = "holds" if entry["holds"] else "FAILS"
-        marginal = " [marginal]" if entry["marginal"] else ""
-        print(f"  {entry['name']}: {entry['value']:.6e}  {flag}{marginal}")
-    print(f"feasible: {'yes' if res.feasible else 'no'}")
-    return 0
+    check = res.to_json_dict()
+    options = _options(args, "m1", "m2")
+
+    def text():
+        yield f"(m1, m2) = ({options['m1']}, {options['m2']})"
+        yield f"candidate coefficients: a = {res.a:.12g}, b = {res.b:.12g}"
+        for entry in check["inequalities"]:
+            flag = "holds" if entry["holds"] else "FAILS"
+            marginal = " [marginal]" if entry["marginal"] else ""
+            yield f"  {entry['name']}: {entry['value']:.6e}  {flag}{marginal}"
+        yield f"feasible: {'yes' if res.feasible else 'no'}"
+
+    return _finish(args, options, {"check": check}, text())
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +477,11 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
 _NEGATIVE_VALUE_RE = re.compile(r"^-\d+(/\d+)?$")
 
 
-def _allow_negative_rationals(parser: argparse.ArgumentParser) -> None:
-    parser._negative_number_matcher = _NEGATIVE_VALUE_RE
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit a JSON document")
-    common.add_argument(
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
         "--seed", type=int, default=42, help="seed for stochastic parts (default 42)"
     )
 
@@ -593,7 +489,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricfutaki",
         description="Exact obstruction characters on blown-up projective space.",
     )
-    _allow_negative_rationals(parser)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -619,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true",
         help="evaluate formally even when the radial hypothesis fails",
     )
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_character)
 
     p = sub.add_parser("scan", parents=[common], help="sweep (a, b) over a rational grid")
@@ -630,12 +524,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b-to", type=_rat_arg, required=True)
     p.add_argument("--step", type=_rat_arg, default=Fraction(1))
     p.add_argument("--csv", metavar="PATH", help="write rows as CSV to PATH")
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser(
         "verify-paper",
-        parents=[common],
+        parents=[common, seeded],
         help="run the named verification checks against the exact pipeline",
     )
     p.add_argument(
@@ -643,13 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAMES",
         help=f"comma-separated subset of: {', '.join(CHECK_NAMES)}",
     )
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_verify_paper)
 
     p = sub.add_parser("polytope", parents=[common], help="vertices, volume, facet measures")
     p.add_argument("--standard", metavar="N,B", help="model slab polytope of dimension N, size B")
     p.add_argument("--file", metavar="PATH", help="polytope JSON file")
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_polytope)
 
     p = sub.add_parser("family", parents=[common], help="profile slopes and vertex mapping")
@@ -657,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_rat_arg, required=True)
     p.add_argument("--b", type=_rat_arg, required=True)
     p.add_argument("--force", action="store_true")
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("integrate", parents=[common], help="one exact integral")
@@ -670,7 +560,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--radial-power", type=int, metavar="K",
         help="multiply the integrand by X^K (slab polytopes only)",
     )
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_integrate)
 
     p = sub.add_parser("kf-check", parents=[common], help="ruled-surface required ratio")
@@ -683,18 +572,20 @@ def build_parser() -> argparse.ArgumentParser:
         "--cross-check", action="store_true",
         help="compare against the exact pipeline on the blow-up class",
     )
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_kf_check)
 
-    p = sub.add_parser("ample-check", parents=[common], help="ampleness cone inequalities")
+    p = sub.add_parser(
+        "ample-check", parents=[common, seeded], help="ampleness cone inequalities"
+    )
     p.add_argument("--m1", type=_rat_arg)
     p.add_argument("--m2", type=_rat_arg)
     p.add_argument("--scan", action="store_true", help="run the infeasibility scan")
     p.add_argument("--grid-bound", type=int, default=50)
     p.add_argument("--samples", type=int, default=10_000)
-    _allow_negative_rationals(p)
     p.set_defaults(func=cmd_ample_check)
 
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
     return parser
 
 
@@ -708,15 +599,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UnsolvableClassError as exc:
+    except (ValueError, TypeError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PolyParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UnsolvableClassError) else 1
 
 
 if __name__ == "__main__":

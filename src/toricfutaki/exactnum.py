@@ -12,8 +12,10 @@ classes cover the integrand types used downstream:
 * :class:`LogLinear` -- exact pairs ``q0 + q1*log(base)``, which close the
   radial integrals under the ``X**-1`` antiderivative.
 
-A small exact linear-algebra kit over rational matrices (determinant,
-solve, rank) lives here as well; the polytope and family modules share it.
+A small exact linear-algebra kit over rational matrices lives here as
+well; the polytope, integrate and family modules share it.  Determinant,
+solve, rank and kernel vector all run one forward elimination
+(``_row_reduce``), followed where needed by one back substitution.
 All values are immutable after construction.
 """
 
@@ -83,28 +85,58 @@ def _copy_matrix(rows: Sequence[Sequence[RationalLike]]) -> list[list[Fraction]]
     return [[as_fraction(v) for v in row] for row in rows]
 
 
+def _row_reduce(a: list[list[Fraction]], ncols: int) -> tuple[list[int], int]:
+    """Forward elimination: bring ``a`` to row echelon form in place.
+
+    Pivots are sought in the first ``ncols`` columns only; further columns
+    (an augmented right-hand side) are carried along.  Returns the pivot
+    column of each leading row and the sign of the row permutation.
+    """
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        pivot = next((k for k in range(r, len(a)) if a[k][col] != 0), None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[r], a[pivot] = a[pivot], a[r]
+            sign = -sign
+        inv = 1 / a[r][col]
+        for k in range(r + 1, len(a)):
+            if a[k][col] != 0:
+                factor = a[k][col] * inv
+                for c in range(col, len(a[k])):
+                    a[k][c] -= factor * a[r][c]
+        pivots.append(col)
+    return pivots, sign
+
+
+def _null_vector(
+    a: list[list[Fraction]], pivots: list[int], free: int, width: int
+) -> list[Fraction]:
+    """Back substitution: the solution of the echelon rows ``a @ x = 0`` with
+    ``x[free] = 1`` and every other non-pivot entry 0."""
+    x = [Fraction(0)] * width
+    x[free] = Fraction(1)
+    for r in range(len(pivots) - 1, -1, -1):
+        p = pivots[r]
+        x[p] = -sum(a[r][c] * x[c] for c in range(p + 1, width)) / a[r][p]
+    return x
+
+
 def mat_det(rows: Sequence[Sequence[RationalLike]]) -> Fraction:
-    """Determinant of a square rational matrix by fraction-free-ish GE."""
+    """Determinant of a square rational matrix."""
     a = _copy_matrix(rows)
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant requires a square matrix")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-    return det
+    pivots, sign = _row_reduce(a, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    return math.prod((a[i][i] for i in range(n)), start=Fraction(sign))
 
 
 def mat_solve(
@@ -116,55 +148,33 @@ def mat_solve(
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve requires square A and matching rhs")
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, n):
-                    a[r][c] -= factor * a[col][c]
-                b[r] -= factor * b[col]
-    x = [Fraction(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = b[r]
-        for c in range(r + 1, n):
-            acc -= a[r][c] * x[c]
-        x[r] = acc / a[r][r]
-    return x
+    for row, v in zip(a, b):
+        row.append(-v)
+    pivots, _ = _row_reduce(a, n)
+    if len(pivots) < n:
+        return None
+    # The augmented column is the one free column: x = (solution, 1).
+    return _null_vector(a, pivots, n, n + 1)[:n]
 
 
 def mat_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
     """Rank of a rational matrix (any shape)."""
     a = _copy_matrix(rows)
-    if not a:
-        return 0
-    nrows, ncols = len(a), len(a[0])
+    ncols = len(a[0]) if a else 0
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(row, nrows) if a[r][col] != 0), None)
-        if pivot is None:
-            continue
-        a[row], a[pivot] = a[pivot], a[row]
-        inv = 1 / a[row][col]
-        for r in range(row + 1, nrows):
-            if a[r][col] != 0:
-                factor = a[r][col] * inv
-                for c in range(col, ncols):
-                    a[r][c] -= factor * a[row][c]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    return len(_row_reduce(a, ncols)[0])
+
+
+def mat_kernel(rows: Sequence[Sequence[RationalLike]], n: int) -> tuple[Fraction, ...] | None:
+    """A nonzero solution of ``rows @ d = 0`` in ``n`` unknowns, or None at
+    full column rank: 1 at the first free column, 0 at the other free ones."""
+    a = _copy_matrix(rows)
+    pivots, _ = _row_reduce(a, n)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    return tuple(_null_vector(a, pivots, free, n))
 
 
 # ---------------------------------------------------------------------------

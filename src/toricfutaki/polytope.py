@@ -23,6 +23,7 @@ from .exactnum import (
     as_fraction,
     format_rational,
     mat_det,
+    mat_kernel,
     mat_rank,
     mat_solve,
     parse_rational,
@@ -51,37 +52,6 @@ def affine_rank(points: Sequence[Point]) -> int:
     if not diffs:
         return 0
     return mat_rank(diffs)
-
-
-def _kernel_vector(rows: list[list[Fraction]], n: int) -> Point | None:
-    """A nonzero rational solution of ``rows @ d = 0``, or None at full rank."""
-    a = [[Fraction(v) for v in row] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot = next((k for k in range(r, len(a)) if a[k][col] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][col]
-        a[r] = [v * inv for v in a[r]]
-        for k in range(len(a)):
-            if k != r and a[k][col] != 0:
-                factor = a[k][col]
-                a[k] = [v - factor * w for v, w in zip(a[k], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(a):
-            break
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return None
-    j = free[0]
-    d = [Fraction(0)] * n
-    d[j] = Fraction(1)
-    for row_idx, col in enumerate(pivots):
-        d[col] = -a[row_idx][j]
-    return tuple(d)
 
 
 @dataclass(frozen=True)
@@ -256,7 +226,7 @@ class DelzantPolytope:
         checking the kernel direction of every such subset is exhaustive.
         """
         normals = [list(h.v) for h in hs]
-        kernel = _kernel_vector(normals, n)
+        kernel = mat_kernel(normals, n)
         if kernel is not None:
             return kernel
         if n == 1:
@@ -270,7 +240,7 @@ class DelzantPolytope:
             rows = [list(hs[i].v) for i in subset]
             if mat_rank(rows) != n - 1:
                 continue
-            d = _kernel_vector(rows, n)
+            d = mat_kernel(rows, n)
             if d is None:
                 continue
             for cand in (d, tuple(-c for c in d)):

@@ -107,6 +107,21 @@ class TestCharacter:
         rc, _, err = run(capsys, "character", "--n", "2")
         assert rc == 1
 
+    @pytest.mark.parametrize("extra", [
+        ("--alpha0", "1", "--alpha1", "2"),
+        ("--force",),
+    ], ids=["weights", "force"])
+    @pytest.mark.parametrize("mode", [("--json",), ()], ids=["json", "text"])
+    def test_two_parameter_rejects_weights_and_force(self, capsys, extra, mode):
+        # Both used to be dropped silently (weights) or to contradict the
+        # error message (--force on an unsolvable class exited 2).
+        bundle = "3,2" if extra == ("--force",) else "11,1"
+        rc, out, err = run(capsys, "character", "--n", "2", "--kahler", "6,2",
+                           "--bundle", bundle, *extra, *mode)
+        assert rc == 1
+        assert out == ""
+        assert err == "error: --kahler/--bundle take no --alpha0/--alpha1 and no --force\n"
+
 
 class TestScan:
     ARGS = ("scan", "--n", "2", "--a-from", "2", "--a-to", "12",
@@ -446,6 +461,44 @@ class TestAmpleCheck:
         assert rc == 0
         assert "[marginal]" in out
         assert "feasible: no" in out
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ("character", "--n", "2", "--a", "11", "--b", "3"),
+        ("scan", "--n", "2", "--a-from", "2", "--a-to", "3", "--b-from", "2", "--b-to", "3"),
+        ("polytope", "--standard", "2,3"),
+        ("family", "--n", "2", "--a", "11", "--b", "3"),
+        ("integrate", "--standard", "2,3", "--poly", "x1"),
+        ("kf-check", "--k1", "4", "--k2", "-1"),
+    ], ids=lambda argv: argv[0])
+    def test_seed_only_where_read(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--seed", "3", "--json")
+        assert rc == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed 3" in err
+
+    def test_verify_paper_records_seed(self, capsys):
+        doc = run_json(capsys, "verify-paper", "--only", "n2-ratio", "--seed", "7", "--json")
+        assert doc["manifest"]["seed"] == 7
+
+    def test_ample_scan_records_seed(self, capsys):
+        doc = run_json(capsys, "ample-check", "--scan", "--grid-bound", "2",
+                       "--samples", "10", "--seed", "7", "--json")
+        assert doc["manifest"]["seed"] == 7
+        assert doc["scan"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (("character", "--n", "2", "--a", "11", "--b", "3", "--alpha0", "1",
+          "--alpha1", "-1/8"), "alpha1", "-1/8"),
+        (("ample-check", "--m1", "-3/2", "--m2", "2"), "m1", "-3/2"),
+        (("kf-check", "--k1", "4", "--k2", "-1"), "k2", -1),
+        (("scan", "--n", "2", "--a-from", "-1", "--a-to", "1", "--b-from", "2",
+          "--b-to", "3"), "a_from", "-1"),
+    ], ids=lambda x: x[0] if isinstance(x, tuple) else None)
+    def test_negative_rationals_are_values(self, capsys, argv, key, value):
+        doc = run_json(capsys, *argv, "--json")
+        assert doc["manifest"]["options"][key] == value
 
 
 class TestTopLevel:

@@ -1,5 +1,7 @@
 """Exact scalar, polynomial, radial-sum, and linear-algebra arithmetic."""
 
+import itertools
+import math
 from fractions import Fraction
 from random import Random
 
@@ -16,6 +18,7 @@ from toricfutaki.exactnum import (
     as_fraction,
     format_rational,
     mat_det,
+    mat_kernel,
     mat_rank,
     mat_solve,
     parse_rational,
@@ -285,3 +288,61 @@ class TestMatrixKit:
         assert mat_rank([[0, 0]]) == 0
         assert mat_rank([[1, 2, 3]]) == 1
         assert mat_rank([[1, 1], [1, 2], [1, 3]]) == 2
+
+
+# Entries with many zeros, so that singular and rank-deficient matrices are
+# common among the drawn examples.
+MATRIX_ENTRIES = st.one_of(st.just(Fraction(0)), rationals(4, 3))
+
+
+def matrices(rows: st.SearchStrategy[int], cols: st.SearchStrategy[int]):
+    return st.tuples(rows, cols).flatmap(
+        lambda shape: st.lists(
+            st.lists(MATRIX_ENTRIES, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0], max_size=shape[0],
+        ).map(lambda a: (a, shape[1]))
+    )
+
+
+def permutation_det(a: list[list[Fraction]]) -> Fraction:
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(a))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(a)), 2))
+        total += (-1) ** inversions * math.prod(a[i][perm[i]] for i in range(len(a)))
+    return total
+
+
+def times(a: list[list[Fraction]], x) -> list[Fraction]:
+    return [sum((c * v for c, v in zip(row, x)), Fraction(0)) for row in a]
+
+
+class TestRowReduction:
+    @given(st.integers(0, 4).flatmap(lambda n: matrices(st.just(n), st.just(n))))
+    def test_det_matches_permutation_expansion(self, m):
+        a, _ = m
+        assert mat_det(a) == permutation_det(a)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.tuples(matrices(st.just(n), st.just(n)),
+                            st.lists(rationals(9, 4), min_size=n, max_size=n))))
+    def test_solve_satisfies_system(self, case):
+        (a, _), b = case
+        x = mat_solve(a, b)
+        if permutation_det(a) == 0:
+            assert x is None
+        else:
+            assert times(a, x) == b
+
+    @given(matrices(st.integers(0, 4), st.integers(1, 4)))
+    def test_kernel_vector(self, m):
+        rows, n = m
+        d = mat_kernel(rows, n)
+        if mat_rank(rows) == n:
+            assert d is None
+            return
+        assert any(d) and times(rows, d) == [0] * len(rows)
+        # The first free column j is the first column that depends on the
+        # ones before it; d is 1 there and 0 after it, which fixes d.
+        prefix_rank = [mat_rank([row[:k] for row in rows]) for k in range(n + 1)]
+        j = next(k for k in range(n) if prefix_rank[k + 1] == prefix_rank[k])
+        assert d[j] == 1 and all(v == 0 for v in d[j + 1:])
