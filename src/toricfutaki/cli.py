@@ -166,17 +166,29 @@ def cmd_character(args: argparse.Namespace) -> int:
 _SCAN_VERDICTS = (Verdict.OBSTRUCTED_FOR_POSITIVE_ALPHA, Verdict.NO_VANISHING_POSSIBLE)
 
 
-def _rational_range(lo: Fraction, hi: Fraction, step: Fraction) -> list[Fraction]:
+# Every row is built before printing (about 2 KB each), so a grid over this
+# many rows is rejected before any is built.
+MAX_SCAN_ROWS = 50_000
+
+
+def _range_length(lo: Fraction, hi: Fraction, step: Fraction) -> int:
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     if lo > hi:
         raise ValueError(f"empty range: {lo} > {hi}")
-    return [lo + k * step for k in range((hi - lo) // step + 1)]
+    return (hi - lo) // step + 1
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    a_values = _rational_range(args.a_from, args.a_to, args.step)
-    b_values = _rational_range(args.b_from, args.b_to, args.step)
+    step = args.step
+    na = _range_length(args.a_from, args.a_to, step)
+    nb = _range_length(args.b_from, args.b_to, step)
+    if na * nb > MAX_SCAN_ROWS:
+        raise ValueError(
+            f"scan grid has {na * nb} rows ({na} a by {nb} b), over the cap of {MAX_SCAN_ROWS}"
+        )
+    a_values = [args.a_from + k * step for k in range(na)]
+    b_values = [args.b_from + k * step for k in range(nb)]
     fields = ["n", "a", "b", "solvable", "boundary_term", "bulk_term", "required_ratio", "verdict"]
     rows = []
     # b outer: the b-determined half of each report is computed once per b.

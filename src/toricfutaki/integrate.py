@@ -16,8 +16,9 @@ Three exact integral types are provided:
 The Monte Carlo estimator is deliberately independent of all of that: it
 rejection-samples the bounding box with a counter-based generator, so it
 can arbitrate between an exact result and a transcription mistake.  Its
-stream is indexed by sample position, which makes the estimate invariant
-under chunk-size changes.
+stream is indexed by sample position and its sums are taken over fixed
+blocks of sample indices, which makes the estimate invariant under
+chunk-size changes and keeps its memory at one block.
 """
 
 from __future__ import annotations
@@ -276,9 +277,12 @@ def slab_bounds(P: DelzantPolytope) -> tuple[Fraction, Fraction] | None:
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle.
 
-# Per-sample values are buffered for an order-invariant reduction; this cap
-# bounds that buffer to a few hundred MB.
+# Memory is one block whatever the sample count; this cap bounds the running
+# time of one call (tens of seconds at a few million samples per second).
 MAX_MC_SAMPLES = 50_000_000
+
+# Sample indices are reduced in fixed blocks of this many; read at call time.
+MC_BLOCK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -308,17 +312,26 @@ def mc_integrate(
     Rejection-samples the exact bounding box with a Philox counter-based
     generator.  Each sample index owns a fixed block of ``ceil(n/4)``
     counter steps (Philox emits four 64-bit words per step), so the stream
-    consumed by sample ``i`` never depends on ``chunk_size``; partitioning
-    the run differently reproduces the estimate bit for bit.  ``f`` is
-    called only on accepted points and must map an ``(m, n)`` float array
-    to ``m`` values.
+    consumed by sample ``i`` never depends on ``chunk_size``.  Each sample's
+    accept test sums its half-space values axis by axis, so it does not
+    depend on where the sample sits in a chunk either.  ``f`` is called only
+    on accepted points and must map an ``(m, n)`` float array to ``m``
+    values.
+
+    Per-sample values are reduced in fixed blocks of ``MC_BLOCK`` sample
+    indices: one reused buffer holds a block, ``np.sum`` gives its sum and
+    its sum of squares, and ``math.fsum`` combines the block sums.  (Not
+    ``np.dot``: BLAS may split a long dot product by thread count.)
+    Chunks of ``min(chunk_size, MC_BLOCK)`` samples never cross a block
+    boundary, so any ``chunk_size`` reproduces the estimate bit for bit, and
+    memory is one block whatever ``samples`` is.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > MAX_MC_SAMPLES:
         raise ValueError(
             f"{samples} samples exceed the cap of {MAX_MC_SAMPLES}"
-            " (per-sample values are kept in memory for an order-invariant sum)"
+            " (it bounds the running time of one call)"
         )
     if seed < 0:
         raise ValueError("seed must be a non-negative int")
@@ -331,39 +344,57 @@ def mc_integrate(
     lo = np.array([float(v) for v in mins])
     widths = np.array([float(b) - float(a) for a, b in zip(mins, maxs)])
     box_vol = float(np.prod(widths))
-    normals = np.array([[float(c) for c in h.v] for h in P.halfspaces])
-    offsets = np.array([float(h.lam) for h in P.halfspaces])
+    # Each half-space as its nonzero (axis, coefficient) terms and its offset.
+    planes = [
+        ([(j, float(c)) for j, c in enumerate(h.v) if c], float(h.lam))
+        for h in P.halfspaces
+    ]
 
     blocks_per_sample = (n + 3) // 4
     draws_per_sample = 4 * blocks_per_sample
 
-    # Per-sample values are collected before reduction: summing chunk partial
-    # sums would regroup float additions and lose bitwise partition invariance.
-    y = np.zeros(samples)
+    block = MC_BLOCK
+    step = min(chunk_size, block, samples)
+    # Reused buffers: one block of values, one chunk of draws, and the
+    # chunk's points stored axis by axis, so an accept test reads rows.
+    y = np.empty(min(block, samples))
+    draws = np.empty((step, draws_per_sample))
+    coords = np.empty((n, step))
+    sums: list[float] = []
+    squares: list[float] = []
     accepted = 0
-    start = 0
-    while start < samples:
-        count = min(chunk_size, samples - start)
-        bitgen = np.random.Philox(key=seed)
-        bitgen.advance(start * blocks_per_sample)
-        u = np.random.Generator(bitgen).random((count, draws_per_sample))
-        pts = lo + u[:, :n] * widths
-        inside = np.all(pts @ normals.T + offsets >= 0.0, axis=1)
-        if inside.any():
-            vals = np.asarray(f(pts[inside]), dtype=float)
-            if vals.shape != (int(inside.sum()),):
-                raise ValueError("integrand must return one value per input point")
-            chunk = np.zeros(count)
-            chunk[inside] = vals
-            y[start : start + count] = chunk
-        accepted += int(inside.sum())
-        start += count
+    for block_start in range(0, samples, block):
+        block_end = min(block_start + block, samples)
+        y.fill(0.0)
+        for start in range(block_start, block_end, step):
+            count = min(step, block_end - start)
+            bitgen = np.random.Philox(key=seed)
+            bitgen.advance(start * blocks_per_sample)
+            u = np.random.Generator(bitgen).random(out=draws[:count])
+            x = np.multiply(u[:, :n].T, widths[:, None], out=coords[:, :count])
+            x += lo[:, None]
+            inside = np.ones(count, dtype=bool)
+            for ((j, c), *rest), offset in planes:
+                value = x[j] * c
+                for j, c in rest:
+                    value += x[j] * c
+                value += offset
+                inside &= value >= 0.0
+            hits = int(np.count_nonzero(inside))
+            if hits:
+                vals = np.asarray(f(np.ascontiguousarray(x[:, inside].T)), dtype=float)
+                if vals.shape != (hits,):
+                    raise ValueError("integrand must return one value per input point")
+                y[start - block_start : start - block_start + count][inside] = vals
+            accepted += hits
+        filled = y[: block_end - block_start]
+        sums.append(float(filled.sum()))
+        squares.append(float((filled * filled).sum()))
 
     if accepted == 0:
         raise ValueError("no sample hit the polytope; bounding box sampling failed")
-    total = float(y.sum())
-    mean = total / samples
-    var = max(float((y * y).sum()) / samples - mean * mean, 0.0)
+    mean = math.fsum(sums) / samples
+    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
     estimate = box_vol * mean
     stderr = box_vol * math.sqrt(var / samples)
     return MCResult(estimate, stderr, samples, accepted, seed)

@@ -193,6 +193,28 @@ class TestScan:
                          "--b-from", "2", "--b-to", "2", "--step", "0")
         assert rc == 1 and "step" in err
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_huge_grid_rejected_before_any_row(self, capsys, mode):
+        rc, out, err = run(capsys, "scan", "--n", "2", "--a-from", "0", "--a-to", "1",
+                           "--b-from", "0", "--b-to", "1", "--step", "1/100000", *mode)
+        assert rc == 1
+        assert out == ""
+        assert err == (
+            "error: scan grid has 10000200001 rows (100001 a by 100001 b),"
+            f" over the cap of {cli.MAX_SCAN_ROWS}\n"
+        )
+
+    def test_row_cap_boundary(self, capsys, monkeypatch):
+        # 3 a values by 2 b values: a cap of 6 holds the grid, 5 does not.
+        argv = ("scan", "--n", "2", "--a-from", "2", "--a-to", "4",
+                "--b-from", "2", "--b-to", "3", "--json")
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 6)
+        assert len(run_json(capsys, *argv)["rows"]) == 6
+        monkeypatch.setattr(cli, "MAX_SCAN_ROWS", 5)
+        rc, out, err = run(capsys, *argv)
+        assert rc == 1 and out == ""
+        assert "6 rows (3 a by 2 b), over the cap of 5" in err
+
     def test_each_b_computed_once_past_the_cache_size(self, capsys):
         # Two a columns over more distinct b than the memo holds: with b as
         # the outer loop every solvable b is a single miss; a-major order

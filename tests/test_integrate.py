@@ -1,12 +1,16 @@
 """Exact body, facet, and radial-slab integrals, plus the MC oracle."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from toricfutaki import integrate
 from toricfutaki.exactnum import LogLinear, MultiPoly, RadialSum
 from toricfutaki.integrate import (
     MAX_MC_SAMPLES,
+    MC_BLOCK,
     FacetMeasureContext,
     MCResult,
     c_constant,
@@ -225,6 +229,45 @@ class TestRadialSlab:
             integrate_radial_slab(3, 1, 3, r)
 
 
+def _reference_mc(P, f, samples, seed, block):
+    """``mc_integrate`` kept simple: every per-sample value in one array,
+    ``np.sum`` over each block of ``block`` indices, ``math.fsum`` across."""
+    import numpy as np
+
+    n = P.n
+    draws = 4 * ((n + 3) // 4)
+    u = np.random.Generator(np.random.Philox(key=seed)).random((samples, draws))
+    mins, maxs = P.bounding_box()
+    lo = np.array([float(v) for v in mins])
+    widths = np.array([float(b) - float(a) for a, b in zip(mins, maxs)])
+    pts = lo + u[:, :n] * widths
+    inside = np.ones(samples, dtype=bool)
+    for h in P.halfspaces:
+        value = np.zeros(samples)
+        for j, c in enumerate(h.v):
+            value = value + pts[:, j] * float(c)
+        inside &= value + float(h.lam) >= 0.0
+    y = np.zeros(samples)
+    y[inside] = f(pts[inside])
+    blocks = [y[k : k + block] for k in range(0, samples, block)]
+    mean = math.fsum(float(b.sum()) for b in blocks) / samples
+    var = max(math.fsum(float((b * b).sum()) for b in blocks) / samples - mean * mean, 0.0)
+    vol = float(np.prod(widths))
+    return MCResult(vol * mean, vol * math.sqrt(var / samples), samples, int(inside.sum()), seed)
+
+
+# A polygon whose box starts off the origin and whose normals have zero entries.
+_TRAPEZOID = DelzantPolytope(
+    2,
+    [
+        HalfSpace((1, 0), Fraction(-1)),
+        HalfSpace((0, 1), Fraction(1)),
+        HalfSpace((0, -1), Fraction(1)),
+        HalfSpace((-1, -1), Fraction(4)),
+    ],
+)
+
+
 class TestMonteCarlo:
     def test_partition_invariance(self):
         p = standard_blowup_polytope(2, 3)
@@ -243,6 +286,57 @@ class TestMonteCarlo:
         a = mc_integrate(p, x1.eval_array, samples=30_000, seed=7, chunk_size=999)
         b = mc_integrate(p, x1.eval_array, samples=30_000, seed=7, chunk_size=30_000)
         assert a == b
+
+    def test_block_boundaries_do_not_depend_on_chunk_size(self):
+        p = standard_blowup_polytope(3, F(5, 2))
+        f = RadialSum.from_poly(MultiPoly.variable(3, 0), -6).eval_array
+        samples = 3 * MC_BLOCK + 17
+        runs = [
+            mc_integrate(p, f, samples=samples, seed=11, chunk_size=cs)
+            for cs in (1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 1 << 17, samples + 5)
+        ]
+        assert all(r == runs[0] for r in runs)
+
+    def test_chunk_size_one(self):
+        p = standard_blowup_polytope(2, 3)
+        x1 = MultiPoly.variable(2, 0)
+        one = mc_integrate(p, x1.eval_array, samples=3001, seed=5, chunk_size=1)
+        assert one == mc_integrate(p, x1.eval_array, samples=3001, seed=5)
+
+    @pytest.mark.parametrize(
+        "polytope, f",
+        [
+            (standard_blowup_polytope(3, F(5, 2)),
+             RadialSum.from_poly(MultiPoly.variable(3, 0), -6).eval_array),
+            (_TRAPEZOID, MultiPoly.variable(2, 1).eval_array),
+            # Values spanning 30 decades, so another grouping of the sums shows.
+            (standard_blowup_polytope(2, 3), lambda a: 10.0 ** (10 * a[:, 0])),
+        ],
+    )
+    def test_equals_reference_block_reduction(self, monkeypatch, polytope, f):
+        monkeypatch.setattr(integrate, "MC_BLOCK", 7)
+        samples = 7 * 50 + 3
+        ref = _reference_mc(polytope, f, samples, 3, block=7)
+        assert 0 < ref.accepted < samples
+        for cs in (3, 7, 1000):
+            assert mc_integrate(polytope, f, samples=samples, seed=3, chunk_size=cs) == ref
+
+    def test_memory_is_one_block(self):
+        p = standard_blowup_polytope(5, F(7, 3))
+        f = RadialSum.from_poly(MultiPoly.variable(5, 0), -10).eval_array
+        mc_integrate(p, f, samples=1000, seed=1)  # imports numpy outside the trace
+
+        def peak(samples):
+            tracemalloc.start()
+            try:
+                mc_integrate(p, f, samples=samples, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(200_000), peak(2_000_000)
+        assert large < 8 * 2**20
+        assert abs(large - small) < 2**20
 
     def test_agreement_with_exact(self):
         p = standard_blowup_polytope(2, 3)
