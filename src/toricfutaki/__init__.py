@@ -24,14 +24,12 @@ from .character import (
     InconsistencyError,
     RuledRatio,
     Verdict,
-    alpha_futaki_axis,
     build_report,
     bulk_axis,
     classical_futaki_axis,
     kf_ruled_ratio,
     required_ratio,
     two_parameter_ratio,
-    verdict,
 )
 from .exactnum import (
     LogLinear,
@@ -57,7 +55,6 @@ from .family import (
     transition_map,
 )
 from .integrate import (
-    FacetMeasureContext,
     MCResult,
     c_constant,
     facet_sigma,
@@ -84,7 +81,6 @@ __all__ = [
     "CheckResult",
     "CHECK_NAMES",
     "DelzantPolytope",
-    "FacetMeasureContext",
     "FamilySpec",
     "HalfSpace",
     "InconsistencyError",
@@ -99,7 +95,6 @@ __all__ = [
     "Simplex",
     "UnsolvableClassError",
     "Verdict",
-    "alpha_futaki_axis",
     "as_fraction",
     "build_report",
     "bulk_axis",
@@ -133,6 +128,5 @@ __all__ = [
     "standard_blowup_polytope",
     "transition_map",
     "two_parameter_ratio",
-    "verdict",
     "volume",
 ]

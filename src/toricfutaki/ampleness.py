@@ -28,7 +28,8 @@ It computes the same float expressions in the same operation order, and an
 integer quotient ``p/q`` below 2**53 rounds exactly as
 ``float(Fraction(p, q))`` does, so every value, flag and verdict is the
 scalar one; the tests keep the pair-by-pair loop as the oracle.  Memory is
-one block, whatever the grid bound and sample count.
+one block, whatever the grid bound and sample count; ``MAX_SCAN_PAIRS``
+bounds the time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,8 @@ MARGINAL_BAND = 1e-12
 # Pairs per block of the vectorized scan.  One block, a few hundred KiB of
 # arrays, is the scan's memory whatever its arguments.
 SCAN_BLOCK = 1 << 12
+# Grid plus random pairs one scan may visit; bounds its running time.
+MAX_SCAN_PAIRS = 10_000_000
 # randint ranges of one random pair's draws, in draw order: numerator and
 # denominator of m1, then of m2.
 _DRAW_RANGES = ((-999, 999), (1, 999), (-999, 999), (1, 999))
@@ -256,6 +259,9 @@ def infeasibility_scan(
         raise ValueError("grid bound must be at least 1")
     if random_samples < 0:
         raise ValueError(f"random sample count must be non-negative, got {random_samples}")
+    pairs = (2 * grid_bound + 1) ** 2 - 1 + random_samples
+    if pairs > MAX_SCAN_PAIRS:
+        raise ValueError(f"scan has {pairs} pairs, over the cap of {MAX_SCAN_PAIRS}")
     import numpy as np
 
     feasible: list[tuple[str, str]] = []

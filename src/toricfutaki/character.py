@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactnum import MultiPoly, RationalLike, as_fraction, format_rational
+from .exactnum import MultiPoly, RadialSum, RationalLike, as_fraction, format_rational
 from .family import FamilySpec, make_spec, minor_sum_radial
 from .integrate import (
     c_constant,
@@ -93,7 +93,12 @@ def bulk_axis(spec: FamilySpec, i: int, P: DelzantPolytope | None = None) -> Fra
     """
     if P is None:
         P = standard_blowup_polytope(spec.n, spec.b)
-    integrand = minor_sum_radial(spec).mul_poly(normalized_affine(P, i))
+    return _bulk_term(spec, minor_sum_radial(spec), i, c_constant(P, i))
+
+
+def _bulk_term(spec: FamilySpec, minors: RadialSum, i: int, c: Fraction) -> Fraction:
+    """The radial integral of ``(x_i + c) * minors``, asserted log-free."""
+    integrand = minors.mul_poly(MultiPoly.variable(spec.n, i) + c)
     val = integrate_radial(spec.n, spec.b, integrand)
     if val.q1 != 0:
         raise InconsistencyError(
@@ -101,20 +106,6 @@ def bulk_axis(spec: FamilySpec, i: int, P: DelzantPolytope | None = None) -> Fra
             "zero-mean normalization should have cancelled it"
         )
     return val.q0
-
-
-def alpha_futaki_axis(
-    spec: FamilySpec,
-    i: int,
-    alpha0: RationalLike,
-    alpha1: RationalLike,
-    P: DelzantPolytope | None = None,
-) -> Fraction:
-    """Normalized character ``(alpha0/2)*F_bd[i] + alpha1*F_bulk[i]``."""
-    if P is None:
-        P = standard_blowup_polytope(spec.n, spec.b)
-    a0, a1 = as_fraction(alpha0), as_fraction(alpha1)
-    return a0 / 2 * classical_futaki_axis(P, i) + a1 * bulk_axis(spec, i, P)
 
 
 class _SlabTerms(NamedTuple):
@@ -149,18 +140,9 @@ def _axis_terms(spec: FamilySpec) -> tuple[Fraction, Fraction]:
     The boundary terms and ``c_i`` come from :func:`_slab_terms`; the bulk
     term is the integral :func:`bulk_axis` takes, with the memoized ``c_i``.
     """
-    n = spec.n
-    slab = _slab_terms(n, spec.b)
+    slab = _slab_terms(spec.n, spec.b)
     minors = minor_sum_radial(spec)
-    bk = []
-    for i, c in enumerate(slab.centres):
-        val = integrate_radial(n, spec.b, minors.mul_poly(MultiPoly.variable(n, i) + c))
-        if val.q1 != 0:
-            raise InconsistencyError(
-                f"bulk term produced a log coefficient {val.q1} != 0; the "
-                "zero-mean normalization should have cancelled it"
-            )
-        bk.append(val.q0)
+    bk = [_bulk_term(spec, minors, i, c) for i, c in enumerate(slab.centres)]
     bd = list(slab.boundary)
     if len(set(bd)) != 1 or len(set(bk)) != 1:
         raise InconsistencyError(
@@ -174,23 +156,9 @@ def required_ratio(spec: FamilySpec) -> Fraction | None:
 
     Returns None when the bulk term vanishes: then either no ratio works
     (nonzero boundary term) or every ratio works (identically zero
-    character); :func:`verdict` distinguishes the two.
+    character); the verdict of :func:`build_report` distinguishes the two.
     """
-    bd, bk = _axis_terms(spec)
-    if bk == 0:
-        return None
-    return -bd / (2 * bk)
-
-
-def verdict(
-    spec: FamilySpec, alpha0: RationalLike, alpha1: RationalLike
-) -> Verdict:
-    """Classify the vanishing question at the supplied weights.
-
-    This is the verdict :func:`build_report` records for the same weights;
-    a zero ``alpha0`` raises ``ValueError`` there.
-    """
-    return build_report(spec, alpha0, alpha1).verdict
+    return build_report(spec).required_ratio
 
 
 # ---------------------------------------------------------------------------

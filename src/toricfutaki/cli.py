@@ -37,7 +37,7 @@ from .character import (
 )
 from .exactnum import LogLinear, RadialSum, format_rational, parse_rational
 from .exprparse import parse_poly
-from .family import UnsolvableClassError, make_spec, solvable, transition_map
+from .family import UnsolvableClassError, _check_dim, make_spec, solvable, transition_map
 from .integrate import (
     facet_sigma,
     integrate_poly,
@@ -180,6 +180,7 @@ def _range_length(lo: Fraction, hi: Fraction, step: Fraction) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    _check_dim(args.n)
     step = args.step
     na = _range_length(args.a_from, args.a_to, step)
     nb = _range_length(args.b_from, args.b_to, step)

@@ -440,7 +440,7 @@ class LogLinear:
 
     The base itself is context (the radial integrator documents which one
     it used); since ``log(base)`` is irrational for rational ``base != 1``,
-    equality and arithmetic are componentwise.
+    equality is componentwise.
     """
 
     q0: Fraction
@@ -449,36 +449,6 @@ class LogLinear:
     def __post_init__(self) -> None:
         object.__setattr__(self, "q0", as_fraction(self.q0))
         object.__setattr__(self, "q1", as_fraction(self.q1))
-
-    @property
-    def is_rational(self) -> bool:
-        return self.q1 == 0
-
-    def __add__(self, other: object) -> "LogLinear":
-        if isinstance(other, LogLinear):
-            return LogLinear(self.q0 + other.q0, self.q1 + other.q1)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return LogLinear(self.q0 + other, self.q1)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "LogLinear":
-        return LogLinear(-self.q0, -self.q1)
-
-    def __sub__(self, other: object) -> "LogLinear":
-        if isinstance(other, LogLinear):
-            return LogLinear(self.q0 - other.q0, self.q1 - other.q1)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return LogLinear(self.q0 - other, self.q1)
-        return NotImplemented
-
-    def __mul__(self, other: object) -> "LogLinear":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return LogLinear(self.q0 * other, self.q1 * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def to_float(self, base: RationalLike | float) -> float:
         b = float(base) if isinstance(base, float) else float(as_fraction(base))
@@ -540,40 +510,6 @@ class RadialSum:
     def terms(self) -> list[tuple[MultiPoly, int]]:
         """Terms as (polynomial, power) pairs, ascending in the power."""
         return [(self._terms[k], k) for k in sorted(self._terms)]
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def min_power(self) -> int:
-        return min(self._terms) if self._terms else 0
-
-    def __add__(self, other: object) -> "RadialSum":
-        if isinstance(other, RadialSum):
-            if other.n != self.n:
-                raise ValueError(f"variable-count mismatch: {self.n} vs {other.n}")
-            return RadialSum(
-                self.n,
-                [(p, k) for k, p in self._terms.items()]
-                + [(p, k) for k, p in other._terms.items()],
-            )
-        return NotImplemented
-
-    def __neg__(self) -> "RadialSum":
-        return RadialSum(self.n, [(-p, k) for k, p in self._terms.items()])
-
-    def __sub__(self, other: object) -> "RadialSum":
-        if isinstance(other, RadialSum):
-            return self + (-other)
-        return NotImplemented
-
-    def __mul__(self, other: object) -> "RadialSum":
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return RadialSum(self.n, [(p * other, k) for k, p in self._terms.items()])
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def mul_poly(self, poly: MultiPoly) -> "RadialSum":
         """Multiply every term by a polynomial factor."""

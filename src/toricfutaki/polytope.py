@@ -98,7 +98,7 @@ class HalfSpace:
         lam = d["lam"]
         if isinstance(lam, float):
             raise TypeError("half-space offset must be an int or 'p/q' string, not float")
-        return cls(tuple(int(c) for c in d["v"]), as_fraction(lam))
+        return cls(tuple(d["v"]), as_fraction(lam))
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,7 @@ class DelzantPolytope:
     __slots__ = ("n", "_halfspaces", "_vertices", "_tight", "_facet_vertices")
 
     def __init__(self, n: int, halfspaces: Iterable[HalfSpace]):
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("ambient dimension must be a positive int")
         hs: list[HalfSpace] = []
         for h in halfspaces:
@@ -268,18 +268,6 @@ class DelzantPolytope:
         self._check_facet_index(i)
         return list(self._facet_vertices[i])
 
-    def tight_indices(self, vertex: Point) -> tuple[int, ...]:
-        """Indices of facets through a vertex of the polytope."""
-        key = as_point(vertex, self.n)
-        try:
-            return self._tight[key]
-        except KeyError:
-            raise ValueError(f"{vertex} is not a vertex of this polytope") from None
-
-    def contains(self, x: Sequence[RationalLike]) -> bool:
-        pt = as_point(x, self.n)
-        return all(h.value(pt) >= 0 for h in self._halfspaces)
-
     def bounding_box(self) -> tuple[Point, Point]:
         mins = tuple(min(v[j] for v in self._vertices) for j in range(self.n))
         maxs = tuple(max(v[j] for v in self._vertices) for j in range(self.n))
@@ -387,7 +375,7 @@ class DelzantPolytope:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DelzantPolytope":
-        return cls(int(d["n"]), [HalfSpace.from_json_dict(h) for h in d["halfspaces"]])
+        return cls(d["n"], [HalfSpace.from_json_dict(h) for h in d["halfspaces"]])
 
 
 def standard_blowup_polytope(n: int, b: RationalLike) -> DelzantPolytope:

@@ -295,6 +295,17 @@ class TestVectorizedScan:
             infeasibility_scan(grid_bound=1, random_samples=-5)
         assert infeasibility_scan(grid_bound=1, random_samples=0).checked == 8
 
+    def test_pair_cap_boundary(self, monkeypatch):
+        # grid_bound 2 is 24 grid pairs; 6 random samples make 30.
+        monkeypatch.setattr(ampleness, "MAX_SCAN_PAIRS", 30)
+        assert infeasibility_scan(grid_bound=2, random_samples=6, seed=3).checked <= 30
+        with pytest.raises(ValueError, match="scan has 31 pairs, over the cap of 30"):
+            infeasibility_scan(grid_bound=2, random_samples=7, seed=3)
+        monkeypatch.setattr(ampleness, "MAX_SCAN_PAIRS", 24)
+        assert infeasibility_scan(grid_bound=2, random_samples=0).checked == 24
+        with pytest.raises(ValueError, match="scan has 25 pairs"):
+            infeasibility_scan(grid_bound=2, random_samples=1)
+
 
 class TestMarginalBand:
     def test_band_width(self):

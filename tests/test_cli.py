@@ -204,6 +204,16 @@ class TestScan:
             f" over the cap of {cli.MAX_SCAN_ROWS}\n"
         )
 
+    @pytest.mark.parametrize("n", ["0", "1", "-3"])
+    @pytest.mark.parametrize("mode", [(), ("--json",)])
+    def test_dimension_checked_before_any_row(self, capsys, mode, n):
+        # No row of this grid reaches the family code (none has b > 1).
+        rc, out, err = run(capsys, "scan", "--n", n, "--a-from", "0", "--a-to", "1",
+                           "--b-from", "0", "--b-to", "1", *mode)
+        assert rc == 1 and out == ""
+        assert err == f"error: dimension must be an int >= 2, got {n}\n"
+        assert run(capsys, "character", "--n", n, "--a", "11", "--b", "3", *mode)[1:] == ("", err)
+
     def test_row_cap_boundary(self, capsys, monkeypatch):
         # 3 a values by 2 b values: a cap of 6 holds the grid, 5 does not.
         argv = ("scan", "--n", "2", "--a-from", "2", "--a-to", "4",
@@ -307,6 +317,36 @@ class TestPolytope:
         doc = run_json(capsys, "polytope", "--file", str(path), "--json")
         assert doc["volume"] == "2"
         assert doc["polytope"] == P.to_json_dict()
+
+    _SQUARE = [{"v": [1, 0], "lam": "0"}, {"v": [0, 1], "lam": "0"},
+               {"v": [-1, 0], "lam": "1"}, {"v": [0, -1], "lam": "1"}]
+    _SEGMENT = [{"v": [1], "lam": "0"}, {"v": [-1], "lam": "1"}]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"n": 2, "halfspaces": [{"v": [1.9, 0], "lam": "0"}] + _SQUARE[1:]},
+            {"n": 2, "halfspaces": [{"v": [True, 0], "lam": "0"}] + _SQUARE[1:]},
+            {"n": 2, "halfspaces": [{"v": ["1", 0], "lam": "0"}] + _SQUARE[1:]},
+            {"n": 2.9, "halfspaces": _SQUARE},
+            {"n": "2", "halfspaces": _SQUARE},
+            {"n": True, "halfspaces": _SEGMENT},
+        ],
+        ids=["v-float", "v-bool", "v-string", "n-float", "n-string", "n-bool"],
+    )
+    def test_file_rejects_non_integers(self, capsys, tmp_path, doc):
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(doc))
+        rc, out, err = run(capsys, "polytope", "--file", str(path), "--json")
+        assert rc == 1 and out == ""
+        assert err.startswith("error:")
+
+    def test_file_integers_accepted(self, capsys, tmp_path):
+        for doc, volume in (({"n": 2, "halfspaces": self._SQUARE}, "1"),
+                            ({"n": 1, "halfspaces": self._SEGMENT}, "1")):
+            path = tmp_path / "poly.json"
+            path.write_text(json.dumps(doc))
+            assert run_json(capsys, "polytope", "--file", str(path), "--json")["volume"] == volume
 
     def test_missing_file(self, capsys, tmp_path):
         rc, _, err = run(capsys, "polytope", "--file", str(tmp_path / "nope.json"))
@@ -473,6 +513,16 @@ class TestAmpleCheck:
         assert rc == 1
         assert out == ""
         assert "non-negative" in err
+
+    @pytest.mark.parametrize(
+        "args, pairs",
+        [(("--grid-bound", "100000"), 40000410000),
+         (("--samples", "1000000000000"), 1000000010200)],
+    )
+    def test_scan_over_pair_cap_rejected_at_once(self, capsys, args, pairs):
+        rc, out, err = run(capsys, "ample-check", "--scan", *args, "--json")
+        assert rc == 1 and out == ""
+        assert err == f"error: scan has {pairs} pairs, over the cap of 10000000\n"
 
     def test_requires_pair_or_scan(self, capsys):
         rc, _, err = run(capsys, "ample-check")

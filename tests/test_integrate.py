@@ -11,7 +11,6 @@ from toricfutaki.exactnum import LogLinear, MultiPoly, RadialSum
 from toricfutaki.integrate import (
     MAX_MC_SAMPLES,
     MC_BLOCK,
-    FacetMeasureContext,
     MCResult,
     c_constant,
     facet_sigma,
@@ -142,8 +141,6 @@ class TestFacetIntegrals:
         p = standard_blowup_polytope(2, 3)
         with pytest.raises(ValueError):
             integrate_poly_facet(p, 2, 1, transversal=(1, -1))
-        with pytest.raises(ValueError):
-            FacetMeasureContext(2, (1, 1), (1, -1))
 
     def test_boundary_translation_covariance(self):
         p = standard_blowup_polytope(2, 3)
@@ -206,7 +203,7 @@ class TestRadialSlab:
         x2 = MultiPoly.variable(2, 1)
         r = RadialSum(2, [(x1, 2), (x1 * x2, 0), (MultiPoly.constant(2, 3), 1)])
         got = integrate_radial(2, 3, r)
-        assert got.is_rational
+        assert got.q1 == 0
         assert got.q0 == integrate_poly(standard_blowup_polytope(2, 3), r.to_poly())
 
     def test_general_slab(self):
@@ -269,40 +266,6 @@ _TRAPEZOID = DelzantPolytope(
 
 
 class TestMonteCarlo:
-    def test_partition_invariance(self):
-        p = standard_blowup_polytope(2, 3)
-        x1 = MultiPoly.variable(2, 0)
-        runs = [
-            mc_integrate(p, x1.eval_array, samples=50_000, seed=42, chunk_size=cs)
-            for cs in (77_777, 1 << 17, 1_000)
-        ]
-        assert runs[0].estimate == runs[1].estimate == runs[2].estimate
-        assert runs[0].stderr == runs[1].stderr == runs[2].stderr
-        assert runs[0].accepted == runs[1].accepted == runs[2].accepted
-
-    def test_partition_invariance_n3(self):
-        p = standard_blowup_polytope(3, 2)
-        x1 = MultiPoly.variable(3, 0)
-        a = mc_integrate(p, x1.eval_array, samples=30_000, seed=7, chunk_size=999)
-        b = mc_integrate(p, x1.eval_array, samples=30_000, seed=7, chunk_size=30_000)
-        assert a == b
-
-    def test_block_boundaries_do_not_depend_on_chunk_size(self):
-        p = standard_blowup_polytope(3, F(5, 2))
-        f = RadialSum.from_poly(MultiPoly.variable(3, 0), -6).eval_array
-        samples = 3 * MC_BLOCK + 17
-        runs = [
-            mc_integrate(p, f, samples=samples, seed=11, chunk_size=cs)
-            for cs in (1000, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 1 << 17, samples + 5)
-        ]
-        assert all(r == runs[0] for r in runs)
-
-    def test_chunk_size_one(self):
-        p = standard_blowup_polytope(2, 3)
-        x1 = MultiPoly.variable(2, 0)
-        one = mc_integrate(p, x1.eval_array, samples=3001, seed=5, chunk_size=1)
-        assert one == mc_integrate(p, x1.eval_array, samples=3001, seed=5)
-
     @pytest.mark.parametrize(
         "polytope, f",
         [
@@ -318,8 +281,40 @@ class TestMonteCarlo:
         samples = 7 * 50 + 3
         ref = _reference_mc(polytope, f, samples, 3, block=7)
         assert 0 < ref.accepted < samples
-        for cs in (3, 7, 1000):
-            assert mc_integrate(polytope, f, samples=samples, seed=3, chunk_size=cs) == ref
+        assert mc_integrate(polytope, f, samples=samples, seed=3) == ref
+
+    # Recorded results: any change to the Philox stream, the accept test or
+    # the block reduction shows up as a different bit pattern.
+    @pytest.mark.parametrize(
+        "n, b, integrand, samples, seed, estimate, stderr, accepted",
+        [
+            (2, "3", "volume", 1000, 1,
+             "0x1.f76c8b4395810p+1", "0x1.211ce2fc58b72p-3", 437),
+            (3, "5/2", "x1", MC_BLOCK, 7,
+             "0x1.a76beebf216fep+0", "0x1.b9682d5bf6928p-6", 5219),
+            (5, "7/3", "radial", 3 * MC_BLOCK + 17, 11,
+             "0x1.a052d7468b1b2p-10", "0x1.0030b311daa73p-12", 801),
+            (2, "3", "radial", 3 * MC_BLOCK + 17, 42,
+             "0x1.5629012fc2b22p-2", "0x1.4a40f239d951ap-9", 43835),
+            (3, "2", "volume", 3 * MC_BLOCK + 17, 1009,
+             "0x1.2cd2aeac445fap+0", "0x1.27f1e18ea68efp-7", 14442),
+            (5, "3", "x1", 1000, 2**32 - 1,
+             "0x1.4c6485c500401p+0", "0x1.1e5861c32364dp-1", 8),
+            (5, "5/2", "volume", MC_BLOCK, 3,
+             "0x1.95e2400000000p-1", "0x1.8c8fd63c22b7cp-5", 266),
+        ],
+    )
+    def test_pinned_results(self, n, b, integrand, samples, seed, estimate, stderr, accepted):
+        x1 = MultiPoly.variable(n, 0)
+        f = {
+            "volume": MultiPoly.constant(n, 1),
+            "x1": x1,
+            "radial": RadialSum.from_poly(x1, -2 * n),
+        }[integrand].eval_array
+        res = mc_integrate(standard_blowup_polytope(n, b), f, samples=samples, seed=seed)
+        assert res == MCResult(
+            float.fromhex(estimate), float.fromhex(stderr), samples, accepted, seed
+        )
 
     def test_memory_is_one_block(self):
         p = standard_blowup_polytope(5, F(7, 3))
@@ -368,12 +363,6 @@ class TestMonteCarlo:
             mc_integrate(p, lambda a: a, samples=100, seed=1)
         with pytest.raises(ValueError):
             mc_integrate(p, lambda a: a[:, 0], samples=MAX_MC_SAMPLES + 1, seed=1)
-
-    def test_chunk_size_validation(self):
-        p = standard_blowup_polytope(2, 3)
-        for chunk_size in (0, -1):
-            with pytest.raises(ValueError, match="chunk size"):
-                mc_integrate(p, lambda a: a[:, 0], samples=10, seed=1, chunk_size=chunk_size)
 
     def test_agrees_with_exact_zero_stderr(self):
         r = MCResult(estimate=4.0, stderr=0.0, samples=1, accepted=1, seed=0)

@@ -175,13 +175,6 @@ class TestConstruction:
 
 
 class TestQueries:
-    def test_contains(self):
-        p = standard_blowup_polytope(2, 3)
-        assert p.contains((F(1), F(1)))
-        assert p.contains((F(0), F(1)))  # boundary counts
-        assert not p.contains((F(0), F(0)))  # cut off by the inner facet
-        assert not p.contains((F(2), F(2)))
-
     def test_facet_vertices(self):
         p = standard_blowup_polytope(2, 3)
         assert set(p.facet_vertices(2)) == {(F(0), F(1)), (F(1), F(0))}
@@ -190,13 +183,6 @@ class TestQueries:
             p.facet_vertices(4)
         with pytest.raises(ValueError):
             p.facet_vertices(-1)
-
-    def test_tight_indices(self):
-        p = standard_blowup_polytope(2, 3)
-        assert p.tight_indices((F(0), F(1))) == (0, 2)
-        assert p.tight_indices((F(3), F(0))) == (1, 3)
-        with pytest.raises(ValueError):
-            p.tight_indices((F(1), F(1)))
 
     def test_bounding_box(self):
         p = standard_blowup_polytope(2, 3)
