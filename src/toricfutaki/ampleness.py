@@ -27,7 +27,10 @@ blocks of at most ``SCAN_BLOCK`` pairs, visited in the scalar loop's order.
 It computes the same float expressions in the same operation order, and an
 integer quotient ``p/q`` below 2**53 rounds exactly as
 ``float(Fraction(p, q))`` does, so every value, flag and verdict is the
-scalar one; the tests keep the pair-by-pair loop as the oracle.  Memory is
+scalar one; the tests keep the pair-by-pair loop as the oracle.  The seeded
+random pairs are computed from raw 32-bit Mersenne Twister words with array
+operations, and equal the ``Random(seed).randint`` calls of that loop draw
+for draw; the tests check this against the running interpreter.  Memory is
 one block, whatever the grid bound and sample count; ``MAX_SCAN_PAIRS``
 bounds the time.
 """
@@ -213,8 +216,8 @@ def _pair_blocks(
     int64 arrays ``(p1, q1, p2, q2)`` of at most ``SCAN_BLOCK`` pairs.
 
     The grid comes first, row-major, without the origin; then the seeded
-    random pairs, drawn with the same ``randint`` calls in the same order
-    as a pair-by-pair loop, skipping ``(0, 0)``.
+    random pairs of :func:`_random_draws`, equal to the ``randint`` calls of
+    a pair-by-pair loop, skipping ``(0, 0)``.
     """
     import numpy as np
 
@@ -226,16 +229,70 @@ def _pair_blocks(
         k = k[k != origin]
         ones = np.ones_like(k)
         yield k // width - grid_bound, ones, k % width - grid_bound, ones
-    randint = Random(seed).randint
-    for start in range(0, random_samples, block):
-        count = min(block, random_samples - start)
-        draws = np.fromiter(
-            (randint(lo, hi) for _ in range(count) for lo, hi in _DRAW_RANGES),
-            dtype=np.int64,
-            count=4 * count,
-        ).reshape(count, 4)
+    for draws in _random_draws(random_samples, seed):
         p1, q1, p2, q2 = draws[(draws[:, 0] != 0) | (draws[:, 2] != 0)].T
         yield p1, q1, p2, q2
+
+
+def _random_draws(random_samples: int, seed: int) -> Iterator[np.ndarray]:
+    """``Random(seed).randint(lo, hi)`` for each ``(lo, hi)`` of
+    ``_DRAW_RANGES``, ``random_samples`` times, as int64 ``(count, 4)``
+    blocks of at most ``SCAN_BLOCK`` pairs.
+
+    The values come from raw 32-bit Mersenne Twister words and equal the
+    ``randint`` calls exactly; the tests check this against the running
+    interpreter.  ``randint(lo, hi)`` takes one word, shifts it right by
+    ``32 - k`` with ``k = (hi - lo + 1).bit_length()``, and takes a new word
+    while the result is not below ``hi - lo + 1``.  For ``_DRAW_RANGES`` a
+    word below ``999 << 22`` passes every draw and a word from
+    ``1999 << 21`` up fails every draw; only the 1 word in 2048 between the
+    two depends on which draw is due, and :func:`_accepted_words` settles
+    those one by one.  Unused words carry over to the next block.  A block
+    takes whole pairs, so the first carried word always meets the first draw.
+    """
+    import numpy as np
+
+    getrandbits = Random(seed).getrandbits
+    words = np.empty(0, dtype=np.uint32)
+    lows = np.array([lo for lo, _ in _DRAW_RANGES], dtype=np.int64)
+    shifts = np.array([32 - (hi - lo + 1).bit_length() for lo, hi in _DRAW_RANGES],
+                      dtype=np.uint32)
+    for start in range(0, random_samples, SCAN_BLOCK):
+        need = 4 * min(SCAN_BLOCK, random_samples - start)
+        taken = _accepted_words(words)
+        while len(taken) < need:
+            # About 2.4% of words are rejected; ask for a little over the
+            # shortfall, so the carried words stay few.
+            m = (need - len(taken)) * 33 // 32 + 16
+            fresh = np.frombuffer(getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4")
+            words = np.concatenate((words, fresh))
+            taken = _accepted_words(words)
+        used = taken[:need]
+        draws = (words[used].reshape(-1, 4) >> shifts).astype(np.int64)
+        draws += lows
+        words = words[used[-1] + 1:]
+        yield draws
+
+
+def _accepted_words(words: np.ndarray) -> np.ndarray:
+    """Indices of the ``words`` that successive ``_DRAW_RANGES`` draws keep,
+    the first draw of a pair being due at ``words[0]``."""
+    import numpy as np
+
+    fits = [
+        (words >> (32 - w.bit_length())) < w
+        for w in (hi - lo + 1 for lo, hi in _DRAW_RANGES)
+    ]
+    kept = np.logical_and.reduce(fits)
+    undecided = np.logical_or.reduce(fits) & ~kept
+    count = prev = 0
+    for i in np.flatnonzero(undecided).tolist():
+        count += np.count_nonzero(kept[prev:i])
+        prev = i + 1
+        if fits[count % len(fits)][i]:
+            kept[i] = True
+            count += 1
+    return np.flatnonzero(kept)
 
 
 def infeasibility_scan(

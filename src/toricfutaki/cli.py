@@ -92,6 +92,16 @@ def _rat_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative int, got {seed}")
+    return seed
+
+
 def _pair_arg(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -450,10 +460,12 @@ def cmd_kf_check(args: argparse.Namespace) -> int:
 
 def cmd_ample_check(args: argparse.Namespace) -> int:
     if args.scan:
-        result = infeasibility_scan(
-            grid_bound=args.grid_bound, random_samples=args.samples, seed=args.seed
-        )
-        options = {"scan": True, "grid_bound": args.grid_bound, "samples": args.samples}
+        if args.m1 is not None or args.m2 is not None:
+            raise ValueError("give either --m1/--m2 or --scan, not both")
+        grid_bound = 50 if args.grid_bound is None else args.grid_bound
+        samples = 10_000 if args.samples is None else args.samples
+        result = infeasibility_scan(grid_bound=grid_bound, random_samples=samples, seed=args.seed)
+        options = {"scan": True, "grid_bound": grid_bound, "samples": samples}
 
         def scan_text():
             yield (f"checked {result.checked} pairs (grid |m| <= {result.grid_bound}, "
@@ -463,6 +475,8 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
             yield f"all infeasible: {'yes' if result.all_infeasible else 'NO'}"
 
         return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), seed=args.seed)
+    if args.grid_bound is not None or args.samples is not None:
+        raise ValueError("--grid-bound and --samples need --scan")
     if args.m1 is None or args.m2 is None:
         raise ValueError("give --m1 and --m2, or --scan")
     res = check_from_m(args.m1, args.m2)
@@ -495,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON document")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
-        "--seed", type=int, default=42, help="seed for stochastic parts (default 42)"
+        "--seed", type=_seed_arg, default=42, help="seed for stochastic parts (default 42)"
     )
 
     parser = argparse.ArgumentParser(
@@ -593,8 +607,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=_rat_arg)
     p.add_argument("--m2", type=_rat_arg)
     p.add_argument("--scan", action="store_true", help="run the infeasibility scan")
-    p.add_argument("--grid-bound", type=int, default=50)
-    p.add_argument("--samples", type=int, default=10_000)
+    p.add_argument("--grid-bound", type=int, help="scan |m1|, |m2| up to this (default 50)")
+    p.add_argument("--samples", type=int, help="random pairs the scan adds (default 10000)")
     p.set_defaults(func=cmd_ample_check)
 
     for p in (parser, *sub.choices.values()):

@@ -1,5 +1,6 @@
 """Ampleness cone inequalities and the twist infeasibility scan."""
 
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -16,7 +17,9 @@ from toricfutaki.ampleness import (
     ScanResult,
     _cone_flags,
     _cone_values,
+    _DRAW_RANGES,
     _pair_blocks,
+    _random_draws,
     check_from_m,
     coefficients_from_m,
     derived_inequalities,
@@ -305,6 +308,71 @@ class TestVectorizedScan:
         assert infeasibility_scan(grid_bound=2, random_samples=0).checked == 24
         with pytest.raises(ValueError, match="scan has 25 pairs"):
             infeasibility_scan(grid_bound=2, random_samples=1)
+
+
+def live_draws(samples: int, seed: int) -> list[list[int]]:
+    """The draws of the pair-by-pair loop, from the running interpreter."""
+    randint = Random(seed).randint
+    return [[randint(lo, hi) for lo, hi in _DRAW_RANGES] for _ in range(samples)]
+
+
+def undecided_draw_kinds(samples: int, seed: int) -> set[int]:
+    """Which draws of a pair (0: numerator, 1: denominator) meet a word in
+    ``[999 << 22, 1999 << 21)``, the words a numerator draw keeps and a
+    denominator draw rejects; replayed one ``randint`` rejection loop at a
+    time."""
+    getrandbits = Random(seed).getrandbits
+    kinds = set()
+    for d in range(4 * samples):
+        lo, hi = _DRAW_RANGES[d % 4]
+        width = hi - lo + 1
+        while True:
+            word = getrandbits(32)
+            if 999 << 22 <= word < 1999 << 21:
+                kinds.add(d % 2)
+            if word >> (32 - width.bit_length()) < width:
+                break
+    return kinds
+
+
+class TestRandomDraws:
+    """The scan's random pairs come from raw Mersenne Twister words; they
+    must equal ``Random(seed).randint`` call for call."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    @pytest.mark.parametrize("seed", [0, 1, 1009, 2**32 - 1, 2**64 + 7])
+    def test_equal_live_randint(self, monkeypatch, seed, block):
+        if block is not None:
+            monkeypatch.setattr(ampleness, "SCAN_BLOCK", block)
+        n = ampleness.SCAN_BLOCK
+        for samples in sorted({0, 1, n - 1, n, n + 1, 3 * n + 5}):
+            blocks = list(_random_draws(samples, seed))
+            assert [len(b) for b in blocks] == [
+                min(n, samples - start) for start in range(0, samples, n)
+            ]
+            assert all(b.dtype == np.int64 and b.shape[1:] == (4,) for b in blocks)
+            assert [row.tolist() for b in blocks for row in b] == live_draws(samples, seed)
+
+    def test_benchmark_size_digest(self):
+        # SHA-256 of the seed-1, 100,000-pair draws as little-endian int64,
+        # recorded from the per-pair randint loop the vectorized draws replaced.
+        draws = np.concatenate(list(_random_draws(100_000, 1))).astype("<i8")
+        assert draws.shape == (100_000, 4)
+        assert hashlib.sha256(draws.tobytes()).hexdigest() == (
+            "6b55a48c37dfd4f3cf5928ecbb3dee4980ef597c1f14e4dbb2c123997d5d3ba3"
+        )
+
+    @pytest.mark.parametrize("block", [None, 1])
+    def test_phase_dependent_words(self, monkeypatch, block):
+        # Seed 2496's first 17 pairs meet a word in [999 << 22, 1999 << 21)
+        # on a numerator draw, which keeps it as 999, and on a denominator
+        # draw, which rejects it.
+        if block is not None:
+            monkeypatch.setattr(ampleness, "SCAN_BLOCK", block)
+        assert undecided_draw_kinds(17, 2496) == {0, 1}
+        draws = [row.tolist() for b in _random_draws(17, 2496) for row in b]
+        assert draws == live_draws(17, 2496)
+        assert 999 in {row[0] for row in draws} | {row[2] for row in draws}
 
 
 class TestMarginalBand:

@@ -528,6 +528,28 @@ class TestAmpleCheck:
         rc, _, err = run(capsys, "ample-check")
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv, message", [
+        (("--scan", "--m1", "1", "--m2", "2"), "give either --m1/--m2 or --scan, not both"),
+        (("--scan", "--grid-bound", "2", "--m2", "2"), "give either --m1/--m2 or --scan, not both"),
+        (("--m1", "1", "--m2", "2", "--samples", "9"), "--grid-bound and --samples need --scan"),
+        (("--m1", "1", "--m2", "2", "--grid-bound", "3"), "--grid-bound and --samples need --scan"),
+    ], ids=["scan-m1-m2", "scan-m2", "pair-samples", "pair-grid-bound"])
+    def test_options_of_the_other_mode_rejected(self, capsys, monkeypatch, argv, message, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "infeasibility_scan", fail)
+        monkeypatch.setattr(cli, "check_from_m", fail)
+        rc, out, err = run(capsys, "ample-check", *argv, *mode)
+        assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    def test_scan_defaults_in_manifest(self, capsys):
+        doc = run_json(capsys, "ample-check", "--scan", "--json")
+        assert doc["manifest"]["options"] == {"scan": True, "grid_bound": 50, "samples": 10000}
+        assert doc["manifest"]["seed"] == 42
+        assert doc["scan"]["checked"] == 101 * 101 - 1 + 10000
+
     def test_text_mode(self, capsys):
         rc, out, _ = run(capsys, "ample-check", "--m1", "0", "--m2", "1")
         assert rc == 0
@@ -553,6 +575,27 @@ class TestOptions:
     def test_verify_paper_records_seed(self, capsys):
         doc = run_json(capsys, "verify-paper", "--only", "n2-ratio", "--seed", "7", "--json")
         assert doc["manifest"]["seed"] == 7
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("ample-check", "--scan", "--grid-bound", "2", "--samples", "10"),
+        ("verify-paper", "--only", "nakai-infeasibility"),
+        ("verify-paper", "--only", "mc-oracle"),
+    ], ids=["ample-check", "verify-nakai", "verify-mc"])
+    def test_negative_seed_rejected(self, capsys, monkeypatch, argv, mode):
+        def fail(*args, **kwargs):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(cli, "infeasibility_scan", fail)
+        monkeypatch.setattr(cli, "run_checks", fail)
+        rc, out, err = run(capsys, *argv, "--seed", "-3", *mode)
+        assert rc == 1 and out == ""
+        assert err.endswith("error: argument --seed: seed must be a non-negative int, got -3\n")
+
+    def test_seed_zero_accepted(self, capsys):
+        doc = run_json(capsys, "ample-check", "--scan", "--grid-bound", "1",
+                       "--samples", "5", "--seed", "0", "--json")
+        assert doc["manifest"]["seed"] == 0 and doc["scan"]["seed"] == 0
 
     def test_ample_scan_records_seed(self, capsys):
         doc = run_json(capsys, "ample-check", "--scan", "--grid-bound", "2",
