@@ -17,7 +17,6 @@ from .ampleness import (
     check_from_m,
     coefficients_from_m,
     infeasibility_scan,
-    nakai_check,
 )
 from .character import (
     CharacterReport,
@@ -117,7 +116,6 @@ __all__ = [
     "mc_integrate",
     "minor_sum",
     "minor_sum_radial",
-    "nakai_check",
     "parse_poly",
     "parse_rational",
     "radial_profile",

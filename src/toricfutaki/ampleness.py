@@ -12,27 +12,38 @@ pair ``(m1, m2)``:
     ``a = (m1 + m2*log(3)) / (2 + 3*log(3))``,
     ``b = (2*m2 - 3*m1) / (2 + 3*log(3))``,
 
-and the point of the scan is that no nonzero integer pair satisfies all
-three inequalities simultaneously: the window is empty.  Floating-point
-evaluation is fine for generic pairs; any inequality within 1e-12 of its
-boundary is flagged marginal rather than silently decided.  The knife-edge
-case is ``m1 = 0``, where the second inequality is exactly zero and fails
-the strict test; the third inequality fails decisively there, so the
-infeasibility conclusion never rests on the marginal comparison.
+and the point of the scan is that no nonzero pair satisfies all three
+inequalities simultaneously: the window is empty.  With ``L = log(3)`` and
+``D = 2 + 3*L``, clearing denominators gives three identities that hold
+exactly for any value of ``L``:
 
-Two paths evaluate the inequalities.  :func:`check_from_m` and
-:func:`nakai_check` are the scalar path: one pair, one :class:`ConeCheck`
-with every value and flag.  :func:`infeasibility_scan` is a numpy pass over
-blocks of at most ``SCAN_BLOCK`` pairs, visited in the scalar loop's order.
-It computes the same float expressions in the same operation order, and an
-integer quotient ``p/q`` below 2**53 rounds exactly as
-``float(Fraction(p, q))`` does, so every value, flag and verdict is the
-scalar one; the tests keep the pair-by-pair loop as the oracle.  The seeded
-random pairs are computed from raw 32-bit Mersenne Twister words with array
-operations, and equal the ``Random(seed).randint`` calls of that loop draw
-for draw; the tests check this against the running interpreter.  Memory is
-one block, whatever the grid bound and sample count; ``MAX_SCAN_PAIRS``
-bounds the time.
+    ``(a + b)*D = -2*m1 + (2 + L)*m2``,
+    ``2*a - b*L = m1``,
+    ``(b**2*L - 4*a**2)*D**2 = -4*m1**2 + (9*m1**2 - 20*m1*m2 + 4*m2**2)*L
+    - 4*m2**2*L**2``.
+
+So the second inequality holds iff ``m1 > 0`` and is zero iff ``m1 = 0``;
+it is decided on the exact pair, never on its float value.  The first and
+third are polynomials in ``L`` with rational coefficients that all vanish
+only at the origin, and ``log(3)`` is transcendental (Lindemann), so they
+are nonzero at every other rational pair; their float values decide their
+signs.  ``marginal`` therefore means exactly zero: the second inequality on
+``m1 = 0``, all three at the origin.  The tests check the identities and
+prove from them that the window is empty for every real pair.
+
+Two paths evaluate the inequalities.  :func:`check_from_m` is the scalar
+path: one pair, one :class:`ConeCheck` with every value and flag.
+:func:`infeasibility_scan` is a numpy pass over blocks of at most
+``SCAN_BLOCK`` pairs, visited in the scalar loop's order.  It computes the
+same float expressions in the same operation order, and an integer quotient
+``p/q`` below 2**53 rounds exactly as ``float(Fraction(p, q))`` does and has
+the sign of ``p``, so every value, flag and verdict is the scalar one; the
+tests keep the pair-by-pair loop as the oracle.  The seeded random pairs
+are computed from raw 32-bit Mersenne Twister words with array operations,
+and equal the ``Random(seed).randint`` calls of that loop draw for draw;
+the tests check this against the running interpreter.  Memory is one block,
+whatever the grid bound and sample count; ``MAX_SCAN_PAIRS`` bounds the
+time.
 """
 
 from __future__ import annotations
@@ -50,7 +61,6 @@ if TYPE_CHECKING:
     import numpy as np
 
 LOG3 = math.log(3.0)
-MARGINAL_BAND = 1e-12
 # Pairs per block of the vectorized scan.  One block, a few hundred KiB of
 # arrays, is the scan's memory whatever its arguments.
 SCAN_BLOCK = 1 << 12
@@ -68,14 +78,14 @@ class ConeCheck:
     """Outcome of the three strict ampleness inequalities for one class.
 
     ``values`` holds the left-hand sides normalized so each inequality
-    reads ``value > 0``; ``marginal`` marks values within 1e-12 of zero,
-    where floating point cannot certify a strict sign.
+    reads ``value > 0``, as floats for display; ``marginal`` marks the
+    left-hand sides that are exactly zero.
     """
 
     a: float
     b: float
-    m1: Fraction | None
-    m2: Fraction | None
+    m1: Fraction
+    m2: Fraction
     values: tuple[float, float, float]
     holds: tuple[bool, bool, bool]
     marginal: tuple[bool, bool, bool]
@@ -84,19 +94,10 @@ class ConeCheck:
     def feasible(self) -> bool:
         return all(self.holds)
 
-    @property
-    def decisive(self) -> bool:
-        """Whether the feasibility verdict survives flipping every marginal
-        comparison: an infeasible class must have some inequality failing
-        outside the band, a feasible one must have no marginal pass."""
-        if self.feasible:
-            return not any(self.marginal)
-        return any(not h and not m for h, m in zip(self.holds, self.marginal))
-
     def to_json_dict(self) -> dict:
         return {
-            "m1": None if self.m1 is None else format_rational(self.m1),
-            "m2": None if self.m2 is None else format_rational(self.m2),
+            "m1": format_rational(self.m1),
+            "m2": format_rational(self.m2),
             "a": self.a,
             "b": self.b,
             "inequalities": [
@@ -117,40 +118,13 @@ def coefficients_from_m(m1: RationalLike, m2: RationalLike) -> tuple[float, floa
     return (m1f + m2f * LOG3) / denom, (2.0 * m2f - 3.0 * m1f) / denom
 
 
-def nakai_check(
-    a: float,
-    b: float,
-    m1: Fraction | None = None,
-    m2: Fraction | None = None,
-) -> ConeCheck:
-    """Evaluate the three strict inequalities at given ``(a, b)``."""
-    values = (a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a)
-    holds = tuple(v > 0.0 for v in values)
-    marginal = tuple(abs(v) <= MARGINAL_BAND for v in values)
-    return ConeCheck(a, b, m1, m2, values, holds, marginal)
-
-
 def check_from_m(m1: RationalLike, m2: RationalLike) -> ConeCheck:
     m1f, m2f = as_fraction(m1), as_fraction(m2)
     a, b = coefficients_from_m(m1f, m2f)
-    return nakai_check(a, b, m1f, m2f)
-
-
-def derived_inequalities(m1: Fraction, m2: Fraction) -> tuple[bool, bool, bool]:
-    """The three inequalities restated over the pair ``(m1, m2)`` itself.
-
-    Clearing the positive denominator, ``a + b > 0`` iff
-    ``-2*m1 + (2 + log3)*m2 > 0`` and ``2*a - b*log3 > 0`` iff ``m1 > 0``;
-    those two are equivalences.  The third inequality only *implies*
-    ``(9*log3 - 4)*m1**2 > 20*log3*m1*m2``, because the restatement drops
-    the negative term ``4*log3*(1 - log3)*m2**2``; it is a necessary
-    consequence, not an equivalence.
-    """
-    m1f, m2f = float(m1), float(m2)
-    e1 = -2.0 * m1f + (2.0 + LOG3) * m2f > 0.0
-    e2 = m1f > 0.0
-    e3 = (9.0 * LOG3 - 4.0) * m1f * m1f > 20.0 * LOG3 * m1f * m2f
-    return e1, e2, e3
+    values = (a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a)
+    origin = m1f == 0 and m2f == 0
+    holds = (values[0] > 0.0, m1f > 0, values[2] > 0.0)
+    return ConeCheck(a, b, m1f, m2f, values, holds, (origin, m1f == 0, origin))
 
 
 @dataclass(frozen=True)
@@ -184,7 +158,7 @@ def _cone_values(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """The three inequality values for float arrays of ``m1`` and ``m2``.
 
     Each is computed with the float operations of :func:`coefficients_from_m`
-    and :func:`nakai_check`, in the same order, so every element equals the
+    and :func:`check_from_m`, in the same order, so every element equals the
     value :func:`check_from_m` gives for that pair.
     """
     denom = 2.0 + 3.0 * LOG3
@@ -194,19 +168,18 @@ def _cone_values(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _cone_flags(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pair ``feasible`` and "not decisive" flags, equal to those of
-    :func:`check_from_m`: the second marks an infeasible pair with no
-    inequality failing outside ``MARGINAL_BAND``."""
-    import numpy as np
-
-    feasible = np.ones(m1.shape, dtype=bool)
-    undecided = np.ones(m1.shape, dtype=bool)
-    for v in _cone_values(m1, m2):
-        holds = v > 0.0
-        feasible &= holds
-        undecided &= holds | (np.abs(v) <= MARGINAL_BAND)
-    undecided &= ~feasible
-    return feasible, undecided
+    """Per-pair ``feasible`` and ``marginal`` flags, equal to those of
+    :func:`check_from_m`: the second marks an infeasible pair whose failing
+    inequalities are all exactly zero.  A quotient ``m1 = p1/q1`` of the
+    scan's integers has the sign of ``p1``, and is zero exactly when it is."""
+    v1, _, v3 = _cone_values(m1, m2)
+    origin = (m1 == 0.0) & (m2 == 0.0)
+    holds = (v1 > 0.0, m1 > 0.0, v3 > 0.0)
+    feasible = holds[0] & holds[1] & holds[2]
+    marginal = ~feasible
+    for h, zero in zip(holds, (origin, m1 == 0.0, origin)):
+        marginal &= h | zero
+    return feasible, marginal
 
 
 def _pair_blocks(
@@ -303,11 +276,9 @@ def infeasibility_scan(
     """Scan integer pairs ``|m1|, |m2| <= grid_bound`` plus seeded random
     rational pairs, recording any pair passing all three inequalities.
 
-    Pairs whose verdict rests entirely on marginal comparisons (every
-    failed inequality within ``MARGINAL_BAND`` of zero) are reported
-    separately so a reader can audit that no conclusion was decided by
-    float noise; the scan's claim is that ``feasible_pairs`` and
-    ``marginal_pairs`` both stay empty.
+    Infeasible pairs whose failing inequalities are all exactly zero are
+    reported separately as marginal; the scan's claim is that
+    ``feasible_pairs`` and ``marginal_pairs`` both stay empty.
 
     Pairs go through :func:`_cone_flags` one block at a time; keys are
     formatted only for flagged pairs.
@@ -328,8 +299,8 @@ def infeasibility_scan(
         checked += len(p1)
         # Integers below 2**53 divide to the correctly rounded quotient,
         # which is exactly float(Fraction(p, q)).
-        is_feasible, undecided = _cone_flags(p1 / q1, p2 / q2)
-        for k in np.flatnonzero(is_feasible | undecided):
+        is_feasible, is_marginal = _cone_flags(p1 / q1, p2 / q2)
+        for k in np.flatnonzero(is_feasible | is_marginal):
             key = (
                 format_rational(Fraction(int(p1[k]), int(q1[k]))),
                 format_rational(Fraction(int(p2[k]), int(q2[k]))),

@@ -246,7 +246,8 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
     names = None
     if args.only is not None:
         names = [s.strip() for s in args.only.split(",") if s.strip()]
-    results = run_checks(names, seed=args.seed)
+    seed = 42 if args.seed is None else args.seed
+    results = run_checks(names, seed=seed)
     passed = sum(1 for r in results if r.passed)
     body = {
         "checks": [r.to_json_dict() for r in results],
@@ -259,9 +260,9 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
         width = max(len(r.name) for r in results)
         for r in results:
             yield f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.detail}"
-        yield f"RESULT: {passed}/{len(results)} checks passed (seed {args.seed})"
+        yield f"RESULT: {passed}/{len(results)} checks passed (seed {seed})"
 
-    _finish(args, {"only": names}, body, text(), seed=args.seed)
+    _finish(args, {"only": names}, body, text(), seed=seed)
     return 0 if body["ok"] else 3
 
 
@@ -464,7 +465,8 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
             raise ValueError("give either --m1/--m2 or --scan, not both")
         grid_bound = 50 if args.grid_bound is None else args.grid_bound
         samples = 10_000 if args.samples is None else args.samples
-        result = infeasibility_scan(grid_bound=grid_bound, random_samples=samples, seed=args.seed)
+        seed = 42 if args.seed is None else args.seed
+        result = infeasibility_scan(grid_bound=grid_bound, random_samples=samples, seed=seed)
         options = {"scan": True, "grid_bound": grid_bound, "samples": samples}
 
         def scan_text():
@@ -474,9 +476,11 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
             yield f"marginal (knife-edge) pairs: {len(result.marginal_pairs)}"
             yield f"all infeasible: {'yes' if result.all_infeasible else 'NO'}"
 
-        return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), seed=args.seed)
+        return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), seed=seed)
     if args.grid_bound is not None or args.samples is not None:
         raise ValueError("--grid-bound and --samples need --scan")
+    if args.seed is not None:
+        raise ValueError("--seed needs --scan")
     if args.m1 is None or args.m2 is None:
         raise ValueError("give --m1 and --m2, or --scan")
     res = check_from_m(args.m1, args.m2)
@@ -509,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--json", action="store_true", help="emit a JSON document")
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument(
-        "--seed", type=_seed_arg, default=42, help="seed for stochastic parts (default 42)"
+        "--seed", type=_seed_arg, help="seed for stochastic parts (default 42)"
     )
 
     parser = argparse.ArgumentParser(
@@ -626,7 +630,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ValueError, TypeError, OSError, KeyError) as exc:
+    except (ValueError, TypeError, OSError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UnsolvableClassError) else 1
 

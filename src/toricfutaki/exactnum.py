@@ -488,6 +488,10 @@ class RadialSum:
                 raise ValueError(f"polynomial has {poly.n} variables, expected {n}")
             if not isinstance(k, int) or isinstance(k, bool):
                 raise ValueError("radial exponents must be ints")
+            if abs(k) > MAX_TOTAL_DEGREE:
+                raise ValueError(
+                    f"radial exponent {k} exceeds cap {MAX_TOTAL_DEGREE} in absolute value"
+                )
             merged = clean.get(k, MultiPoly.zero(n)) + poly
             if merged.is_zero:
                 clean.pop(k, None)

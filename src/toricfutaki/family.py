@@ -30,6 +30,11 @@ from .exactnum import (
 )
 from .polytope import Point, as_point
 
+# Largest dimension accepted.  A report on a new reference class
+# re-triangulates the polytope, and its time grows steeply with n: about 2 s
+# at n = 8 and 6 to 13 s at n = 10 on a 2-core machine.
+MAX_DIM = 10
+
 
 class UnsolvableClassError(ValueError):
     """Raised when the slope threshold fails and no radial solution exists."""
@@ -68,6 +73,8 @@ def solvable(n: int, a: RationalLike, b: RationalLike) -> bool:
 def _check_dim(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dimension must be an int >= 2, got {n!r}")
+    if n > MAX_DIM:
+        raise ValueError(f"dimension {n} exceeds cap {MAX_DIM}")
 
 
 @dataclass(frozen=True)

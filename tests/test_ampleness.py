@@ -13,7 +13,6 @@ import pytest
 from toricfutaki import ampleness
 from toricfutaki.ampleness import (
     LOG3,
-    MARGINAL_BAND,
     ScanResult,
     _cone_flags,
     _cone_values,
@@ -22,11 +21,15 @@ from toricfutaki.ampleness import (
     _random_draws,
     check_from_m,
     coefficients_from_m,
-    derived_inequalities,
     infeasibility_scan,
-    nakai_check,
 )
 from toricfutaki.exactnum import format_rational
+
+
+def scan_marginal(res) -> bool:
+    """The scan's marginal rule: infeasible, and every failing inequality
+    exactly zero."""
+    return not res.feasible and all(h or m for h, m in zip(res.holds, res.marginal))
 
 
 def reference_scan(grid_bound: int, random_samples: int, seed: int) -> ScanResult:
@@ -42,7 +45,7 @@ def reference_scan(grid_bound: int, random_samples: int, seed: int) -> ScanResul
         key = (format_rational(m1), format_rational(m2))
         if res.feasible:
             feasible.append(key)
-        elif not res.decisive:
+        elif scan_marginal(res):
             marginal.append(key)
 
     for i in range(-grid_bound, grid_bound + 1):
@@ -60,18 +63,14 @@ def reference_scan(grid_bound: int, random_samples: int, seed: int) -> ScanResul
     return ScanResult(checked, tuple(feasible), tuple(marginal), grid_bound, random_samples, seed)
 
 
-# Module constants the scan reads when called.  A wide band makes
-# undecided pairs; log3 replaced by 1/4 or 9 opens the cone window, so
-# feasible pairs exist (b between 4a and 8a, or between -a and -2a/3).
-CONSTANTS = [
-    {},
-    {"MARGINAL_BAND": 0.05},
-    {"LOG3": 0.25},
-    {"LOG3": 9.0, "MARGINAL_BAND": 0.05},
-]
+# Module constants the scan reads when called.  log3 replaced by 1/4 or 9
+# opens the cone window, so feasible pairs exist (m1 > 0 and m2/m1 above
+# 2/(2 + log3) at 1/4, or in (2/11, 0.29) at 9); at 1/4 the pairs (0, m2 > 0)
+# fail only the second inequality, exactly zero, so they are marginal.
+CONSTANTS = [{}, {"LOG3": 0.25}, {"LOG3": 9.0}]
 
 
-@pytest.fixture(params=CONSTANTS, ids=["default", "wide-band", "log3=1/4", "log3=9,wide-band"])
+@pytest.fixture(params=CONSTANTS, ids=["default", "log3=1/4", "log3=9"])
 def constants(request, monkeypatch):
     for name, value in request.param.items():
         monkeypatch.setattr(ampleness, name, value)
@@ -99,40 +98,55 @@ class TestCoefficients:
 
 
 class TestNakaiCheck:
-    def test_known_ample_class(self):
-        # Direct coefficients far inside the cone: a=1, b=10 gives
-        # 11 > 0, 2 - 10*log3 < 0 -- so pick values satisfying all three.
-        res = nakai_check(0.1, 10.0)
+    def test_known_ample_class(self, monkeypatch):
+        # (-1, 1) passes the first and third inequalities and fails the
+        # second, which needs m1 > 0.
+        res = check_from_m(-1, 1)
+        assert res.holds == (True, False, True)
         assert res.values[0] > 0 and res.values[2] > 0
-        assert res.holds[0] and res.holds[2]
-        assert res.feasible == all(res.holds)
+        assert not any(res.marginal) and not res.feasible
+        # With log3 replaced by 1/4 the window opens and (1, 18) is ample.
+        monkeypatch.setattr(ampleness, "LOG3", 0.25)
+        res = check_from_m(1, 18)
+        assert res.feasible and res.holds == (True, True, True)
+        assert not any(res.marginal)
 
     def test_knife_edge_pair(self):
         # m1 = 0 zeroes the second inequality exactly; the third fails by a
-        # wide margin, so the verdict does not rest on the marginal one.
+        # wide margin.
         res = check_from_m(0, 1)
         assert res.values[1] == pytest.approx(0.0, abs=1e-15)
-        assert res.marginal[1]
+        assert res.marginal == (False, True, False)
         assert not res.holds[1]
-        assert not res.holds[2] and not res.marginal[2]
+        assert not res.holds[2]
         assert not res.feasible
-        assert res.decisive  # the knife edge fails anyway, so still decisive
+
+    @pytest.mark.parametrize("m2", [23, 25, 27, 29, 37])
+    def test_knife_edge_decided_on_the_pair(self, m2):
+        # The float value of 2a - b*log3 rounds above zero here, but it
+        # equals m1 = 0 exactly, so the strict inequality fails.
+        res = check_from_m(0, m2)
+        assert res.values[1] > 0.0
+        assert not res.holds[1] and res.marginal[1]
+        assert not res.holds[2] and not res.marginal[2]
+        d = res.to_json_dict()["inequalities"][1]
+        assert d["holds"] is False and d["marginal"] is True
+
+    def test_tiny_pair_is_not_marginal(self):
+        # All three left-hand sides are tiny but none is zero.
+        res = check_from_m(Fraction(1, 10**13), 0)
+        assert res.holds == (False, True, True)
+        assert res.marginal == (False, False, False)
+        assert not res.feasible
 
     def test_marginal_blocks_decisiveness_when_pivotal(self):
         # The origin is the one point where every inequality sits exactly on
-        # its boundary; no failure is clean, so nothing is decided there.
-        res = nakai_check(0.0, 0.0)
+        # its boundary; no failure is away from zero.
+        res = check_from_m(0, 0)
         assert not res.feasible
-        assert all(res.marginal)
-        assert not res.decisive
-
-    def test_clean_failure_keeps_verdict_decisive(self):
-        # First inequality exactly zero, but the third fails by a wide
-        # margin: the infeasibility verdict does not rest on the margin.
-        res = nakai_check(0.5, -0.5)
-        assert res.marginal[0] and not res.holds[0]
-        assert not res.holds[2] and not res.marginal[2]
-        assert res.decisive
+        assert res.holds == (False, False, False)
+        assert res.marginal == (True, True, True)
+        assert scan_marginal(res)
 
     def test_json_shape(self):
         d = check_from_m(2, 3).to_json_dict()
@@ -142,45 +156,74 @@ class TestNakaiCheck:
         assert d["feasible"] is False
 
 
-class TestDerivedInequalities:
-    def test_equivalences_on_grid(self):
-        for i, j in product(range(-12, 13), repeat=2):
-            if i == 0 and j == 0:
-                continue
-            m1, m2 = Fraction(i), Fraction(j)
-            res = check_from_m(m1, m2)
-            e1, e2, e3 = derived_inequalities(m1, m2)
-            if not res.marginal[0]:
-                assert e1 == res.holds[0], (i, j)
-            if not res.marginal[1]:
-                assert e2 == res.holds[1], (i, j)
-            # Third restatement is an implication only.
-            if res.holds[2]:
-                assert e3, (i, j)
+def exact_sides(m1: Fraction, m2: Fraction, L: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """The three left-hand sides in exact arithmetic at ``log3 = L``."""
+    D = 2 + 3 * L
+    a = (m1 + m2 * L) / D
+    b = (2 * m2 - 3 * m1) / D
+    return a + b, 2 * a - b * L, b * b * L - 4 * a * a
 
-    def test_equivalences_on_random_rationals(self):
-        rng = Random(1234)
-        for _ in range(2000):
+
+def exp_bounds(terms: int) -> tuple[Fraction, Fraction]:
+    """Rational bounds ``lo < e < hi`` from the series ``sum 1/k!``: the
+    terms are positive, and the tail after ``1/(terms-1)!`` is below
+    ``2/terms!``."""
+    lo, term = Fraction(0), Fraction(1)
+    for k in range(terms):
+        lo += term
+        term /= k + 1
+    return lo, lo + 2 * term
+
+
+class TestExactIdentities:
+    """The identities behind the exact rules, and the proof they give that
+    the window is empty for every real pair."""
+
+    @pytest.mark.parametrize("L", [Fraction(1, 4), Fraction(1), Fraction(11, 10),
+                                   Fraction(6, 5), Fraction(9)])
+    def test_identities(self, L):
+        # After clearing D = 2 + 3L, each identity is a polynomial of degree
+        # at most 3 in L, so agreement at these 5 values proves it in L.
+        rng = Random(77)
+        D = 2 + 3 * L
+        for _ in range(200):
             m1 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
             m2 = Fraction(rng.randint(-999, 999), rng.randint(1, 999))
-            if m1 == 0 and m2 == 0:
-                continue
-            res = check_from_m(m1, m2)
-            e1, e2, e3 = derived_inequalities(m1, m2)
-            if not res.marginal[0]:
-                assert e1 == res.holds[0]
-            if not res.marginal[1]:
-                assert e2 == res.holds[1]
-            if res.holds[2]:
-                assert e3
+            s1, s2, s3 = exact_sides(m1, m2, L)
+            assert s1 * D == -2 * m1 + (2 + L) * m2
+            assert s2 == m1
+            assert s3 * D**2 == (-4 * m1**2 + (9 * m1**2 - 20 * m1 * m2 + 4 * m2**2) * L
+                                 - 4 * m2**2 * L**2)
 
-    def test_third_is_not_an_equivalence(self):
-        # (1, -60): the derived quadratic comparison passes, the true
-        # inequality fails (the dropped m2^2 term is large and negative).
-        m1, m2 = Fraction(1), Fraction(-60)
-        _, _, e3 = derived_inequalities(m1, m2)
-        assert e3
-        assert not check_from_m(m1, m2).holds[2]
+    def test_log3_bounds(self):
+        # 1 < log 3 < 6/5: e < 3, and e**6 > 3**5 = 243.
+        lo, hi = exp_bounds(12)
+        assert hi < 3
+        assert lo**6 > 243
+        assert 1 < LOG3 < 1.2
+
+    def test_window_is_empty_for_every_real_pair(self):
+        # The second inequality holds iff m1 > 0.  Put t = m2/m1.  Dividing
+        # the identities by m1 and m1**2, the first needs (2 + L)t > 2, so
+        # t > 2/(2 + L) > 2/(2 + 6/5) = 5/8, and the third reads
+        # 4L(1 - L)t**2 - 20Lt + 9L - 4 > 0.  With L > 1 and t > 0 the first
+        # term is negative, so the left side is below L(9 - 20t) - 4, and
+        # 9 - 20t < 9 - 20*5/8 < 0 makes that negative.
+        L_hi = Fraction(6, 5)
+        t_lo = 2 / (2 + L_hi)
+        assert t_lo == Fraction(5, 8)
+        assert 9 - 20 * t_lo < 0
+        # Spot-check each step in exact arithmetic at rational L in (1, 6/5).
+        rng = Random(5)
+        for _ in range(500):
+            L = 1 + Fraction(rng.randint(1, 999), 5000)
+            m1 = Fraction(rng.randint(1, 999), rng.randint(1, 999))
+            t = 2 / (2 + L) + Fraction(rng.randint(1, 10**6), rng.randint(1, 999))
+            s1, s2, s3 = exact_sides(m1, t * m1, L)
+            assert s1 > 0 and s2 > 0 and t > t_lo
+            quadratic = 4 * L * (1 - L) * t**2 - 20 * L * t + 9 * L - 4
+            assert s3 * (2 + 3 * L) ** 2 == quadratic * m1**2
+            assert quadratic < L * (9 - 20 * t) - 4 < 0
 
 
 class TestScan:
@@ -189,8 +232,8 @@ class TestScan:
         assert res.all_infeasible
         assert res.feasible_pairs == ()
         assert res.checked == 25 * 25 - 1 + 500
-        # Even the knife edge m1 = 0 fails some inequality cleanly, so no
-        # verdict rests on a marginal comparison.
+        # The knife edge m1 = 0 also fails the third inequality, which is
+        # nonzero there, so no pair is marginal.
         assert res.marginal_pairs == ()
 
     def test_scan_is_seed_reproducible(self):
@@ -223,23 +266,22 @@ class TestVectorizedScan:
         pair by pair; float ``m`` is exactly ``float(Fraction)``."""
         m1 = np.array([float(p) for p, _ in pairs])
         m2 = np.array([float(q) for _, q in pairs])
-        feasible, undecided = _cone_flags(m1, m2)
+        feasible, marginal = _cone_flags(m1, m2)
         values = _cone_values(m1, m2)
         for k, (p, q) in enumerate(pairs):
             res = check_from_m(p, q)
             assert tuple(float(v[k]) for v in values) == res.values, (p, q)
             assert feasible[k] == res.feasible, (p, q)
-            assert undecided[k] == (not res.feasible and not res.decisive), (p, q)
-        return feasible, undecided
+            assert marginal[k] == scan_marginal(res), (p, q)
+        return feasible, marginal
 
     def test_flags_match_scalar_on_grid(self, constants):
-        # The grid includes the knife-edge row m1 = 0.
+        # The grid includes the origin and the knife-edge row m1 = 0.
         pairs = [(Fraction(i), Fraction(j)) for i, j in product(range(-60, 61), repeat=2)]
-        feasible, undecided = self.assert_flags_match(pairs)
+        feasible, marginal = self.assert_flags_match(pairs)
+        assert marginal[pairs.index((0, 0))]
         if "LOG3" in constants:
             assert feasible.any()
-        if "MARGINAL_BAND" in constants:
-            assert undecided.any()
 
     def test_flags_match_scalar_on_random_rationals(self, constants):
         rng = Random(2024)
@@ -257,14 +299,18 @@ class TestVectorizedScan:
         assert infeasibility_scan(grid_bound, samples, seed) == reference_scan(grid_bound, samples, seed)
 
     def test_flagged_keys_format_and_order(self, monkeypatch):
-        monkeypatch.setattr(ampleness, "MARGINAL_BAND", 0.05)
+        monkeypatch.setattr(ampleness, "LOG3", 0.25)
         res = infeasibility_scan(grid_bound=6, random_samples=20_000, seed=3)
         assert res == reference_scan(6, 20_000, 3)
-        assert res.feasible_pairs == ()
-        # The one grid pair comes first, as integers; random pairs follow,
-        # as reduced fractions.
-        assert res.marginal_pairs[:3] == (("0", "1"), ("-12/875", "309/496"), ("25/228", "339/824"))
-        for m1, m2 in res.marginal_pairs:
+        # Grid pairs come first, as integers; random pairs follow, as
+        # reduced fractions.
+        assert res.marginal_pairs == (
+            ("0", "1"), ("0", "2"), ("0", "3"), ("0", "4"), ("0", "5"), ("0", "6"),
+            ("0", "85/277"), ("0", "742/577"),
+        )
+        assert len(res.feasible_pairs) == 727
+        assert res.feasible_pairs[:2] == (("17/779", "440/323"), ("25/241", "993/952"))
+        for m1, m2 in res.marginal_pairs + res.feasible_pairs:
             assert format_rational(Fraction(m1)) == m1
             assert format_rational(Fraction(m2)) == m2
 
@@ -276,7 +322,7 @@ class TestVectorizedScan:
         assert not res.all_infeasible
 
     def test_block_boundaries(self, monkeypatch):
-        monkeypatch.setattr(ampleness, "MARGINAL_BAND", 0.05)
+        monkeypatch.setattr(ampleness, "LOG3", 0.25)
         monkeypatch.setattr(ampleness, "SCAN_BLOCK", 7)
         for grid_bound, samples, seed in [(3, 49, 7), (4, 50, 11), (5, 7000, 2)]:
             assert infeasibility_scan(grid_bound, samples, seed) == reference_scan(grid_bound, samples, seed)
@@ -374,9 +420,3 @@ class TestRandomDraws:
         assert draws == live_draws(17, 2496)
         assert 999 in {row[0] for row in draws} | {row[2] for row in draws}
 
-
-class TestMarginalBand:
-    def test_band_width(self):
-        assert MARGINAL_BAND == 1e-12
-        res = nakai_check(0.0, 0.0)
-        assert all(res.marginal)

@@ -214,6 +214,13 @@ class TestScan:
         assert err == f"error: dimension must be an int >= 2, got {n}\n"
         assert run(capsys, "character", "--n", n, "--a", "11", "--b", "3", *mode)[1:] == ("", err)
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_dimension_cap(self, capsys, mode):
+        rc, out, err = run(capsys, "scan", "--n", "11", "--a-from", "2", "--a-to", "3",
+                           "--b-from", "2", "--b-to", "3", *mode)
+        assert (rc, out, err) == (1, "", "error: dimension 11 exceeds cap 10\n")
+        assert run(capsys, "character", "--n", "11", "--a", "3", "--b", "2", *mode) == (1, "", err)
+
     def test_row_cap_boundary(self, capsys, monkeypatch):
         # 3 a values by 2 b values: a cap of 6 holds the grid, 5 does not.
         argv = ("scan", "--n", "2", "--a-from", "2", "--a-to", "4",
@@ -457,6 +464,17 @@ class TestIntegrate:
                          "--facet", "7")
         assert rc == 1
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("k", ["65", "-65"])
+    def test_radial_power_cap(self, capsys, k, mode):
+        rc, out, err = run(capsys, "integrate", "--standard", "2,3", "--poly", "x1",
+                           "--radial-power", k, *mode)
+        assert (rc, out) == (1, "")
+        assert err == f"error: radial exponent {k} exceeds cap 64 in absolute value\n"
+        doc = run_json(capsys, "integrate", "--standard", "2,3", "--poly", "x1",
+                       "--radial-power", k.replace("65", "64"), "--json")
+        assert doc["log_coeff"] == "0"
+
     def test_text_log_rendering(self, capsys):
         rc, out, _ = run(capsys, "integrate", "--standard", "2,3", "--poly", "1",
                          "--radial-power", "-2")
@@ -534,7 +552,10 @@ class TestAmpleCheck:
         (("--scan", "--grid-bound", "2", "--m2", "2"), "give either --m1/--m2 or --scan, not both"),
         (("--m1", "1", "--m2", "2", "--samples", "9"), "--grid-bound and --samples need --scan"),
         (("--m1", "1", "--m2", "2", "--grid-bound", "3"), "--grid-bound and --samples need --scan"),
-    ], ids=["scan-m1-m2", "scan-m2", "pair-samples", "pair-grid-bound"])
+        (("--m1", "1", "--m2", "2", "--seed", "5"), "--seed needs --scan"),
+        (("--m1", "1", "--m2", "2", "--seed", "42"), "--seed needs --scan"),
+    ], ids=["scan-m1-m2", "scan-m2", "pair-samples", "pair-grid-bound", "pair-seed",
+            "pair-seed-default-value"])
     def test_options_of_the_other_mode_rejected(self, capsys, monkeypatch, argv, message, mode):
         def fail(*args, **kwargs):
             raise AssertionError("no check may run")
@@ -625,6 +646,18 @@ class TestTopLevel:
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("argv", [
+        ("character", "--n", "2", "--a", str(10**400), "--b", "3"),
+        ("ample-check", "--m1", str(10**400), "--m2", "1"),
+        ("integrate", "--standard", f"2,{10**400}", "--poly", "x1"),
+    ], ids=lambda argv: argv[0])
+    def test_too_large_for_a_float(self, capsys, argv, mode):
+        # The exact value exists; its float rendering overflows.
+        rc, out, err = run(capsys, *argv, *mode)
+        assert (rc, out) == (1, "")
+        assert err == "error: integer division result too large for a float\n"
 
     def test_no_command(self, capsys):
         assert cli.main([]) == 1

@@ -203,6 +203,13 @@ class TestRadialSum:
         X = Fraction(3)
         assert r.eval(pt) == Fraction(1) * X**-4 + 3 * X
 
+    def test_power_cap(self):
+        x = MultiPoly.variable(2, 0)
+        assert RadialSum(2, [(x, -MAX_TOTAL_DEGREE), (x, MAX_TOTAL_DEGREE)]).terms()[0][1] == -64
+        for k in (MAX_TOTAL_DEGREE + 1, -MAX_TOTAL_DEGREE - 1, 10**7):
+            with pytest.raises(ValueError, match=f"radial exponent {k} exceeds cap 64"):
+                RadialSum(2, [(x, k)])
+
     def test_zero_sum_with_negative_power(self):
         r = RadialSum(1, [(MultiPoly.constant(1, 1), -1)])
         with pytest.raises(ZeroDivisionError):

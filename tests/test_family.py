@@ -83,6 +83,9 @@ class TestSpecConstruction:
             make_spec(1, 11, 3)
         with pytest.raises(ValueError):
             make_spec("2", 11, 3)
+        with pytest.raises(ValueError, match="dimension 11 exceeds cap 10"):
+            make_spec(11, 3, 2)
+        assert make_spec(10, 3, 2).n == 10
         with pytest.raises(TypeError):
             make_spec(2, 1.5, 3)
 
