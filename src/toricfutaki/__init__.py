@@ -15,7 +15,6 @@ from .ampleness import (
     ConeCheck,
     ScanResult,
     check_from_m,
-    coefficients_from_m,
     infeasibility_scan,
 )
 from .character import (
@@ -50,7 +49,6 @@ from .family import (
     minor_sum_radial,
     radial_profile,
     slope_lambda_intersection,
-    solvable,
     transition_map,
 )
 from .integrate import (
@@ -100,7 +98,6 @@ __all__ = [
     "c_constant",
     "check_from_m",
     "classical_futaki_axis",
-    "coefficients_from_m",
     "facet_sigma",
     "format_rational",
     "infeasibility_scan",
@@ -122,7 +119,6 @@ __all__ = [
     "required_ratio",
     "run_checks",
     "slope_lambda_intersection",
-    "solvable",
     "standard_blowup_polytope",
     "transition_map",
     "two_parameter_ratio",

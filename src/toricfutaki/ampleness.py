@@ -31,6 +31,11 @@ signs.  ``marginal`` therefore means exactly zero: the second inequality on
 ``m1 = 0``, all three at the origin.  The tests check the identities and
 prove from them that the window is empty for every real pair.
 
+The sides are homogeneous of degree 1, 1 and 2, so :func:`check_from_m`
+decides them on the pair times the power of two that puts its larger entry
+in ``[1/2, 2)``, where no float underflows or overflows, and scales the
+values back (exactly, while they stay normal) for display only.
+
 Two paths evaluate the inequalities.  :func:`check_from_m` is the scalar
 path: one pair, one :class:`ConeCheck` with every value and flag.
 :func:`infeasibility_scan` is a numpy pass over blocks of at most
@@ -78,7 +83,7 @@ class ConeCheck:
     """Outcome of the three strict ampleness inequalities for one class.
 
     ``values`` holds the left-hand sides normalized so each inequality
-    reads ``value > 0``, as floats for display; ``marginal`` marks the
+    reads ``value > 0``, as floats for display only; ``marginal`` marks the
     left-hand sides that are exactly zero.
     """
 
@@ -110,21 +115,23 @@ class ConeCheck:
         }
 
 
-def coefficients_from_m(m1: RationalLike, m2: RationalLike) -> tuple[float, float]:
-    """Candidate ``(a, b)`` coefficients for the twist pair ``(m1, m2)``."""
-    m1f = float(as_fraction(m1))
-    m2f = float(as_fraction(m2))
-    denom = 2.0 + 3.0 * LOG3
-    return (m1f + m2f * LOG3) / denom, (2.0 * m2f - 3.0 * m1f) / denom
-
-
 def check_from_m(m1: RationalLike, m2: RationalLike) -> ConeCheck:
     m1f, m2f = as_fraction(m1), as_fraction(m2)
-    a, b = coefficients_from_m(m1f, m2f)
-    values = (a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a)
-    origin = m1f == 0 and m2f == 0
-    holds = (values[0] > 0.0, m1f > 0, values[2] > 0.0)
-    return ConeCheck(a, b, m1f, m2f, values, holds, (origin, m1f == 0, origin))
+    big = max(abs(m1f), abs(m2f))
+    k = big.denominator.bit_length() - big.numerator.bit_length()
+    scaled = _cone_values(float(m1f * Fraction(2) ** k), float(m2f * Fraction(2) ** k))
+    holds = (scaled[2] > 0.0, m1f > 0, scaled[4] > 0.0)
+    a, b, *values = (_ldexp(v, -d * k) for v, d in zip(scaled, (1, 1, 1, 1, 2)))
+    origin = big == 0
+    return ConeCheck(a, b, m1f, m2f, tuple(values), holds, (origin, m1f == 0, origin))
+
+
+def _ldexp(x: float, k: int) -> float:
+    """``x * 2**k``, or an infinity of the sign of ``x`` if that overflows."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 @dataclass(frozen=True)
@@ -154,17 +161,14 @@ class ScanResult:
         }
 
 
-def _cone_values(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The three inequality values for float arrays of ``m1`` and ``m2``.
-
-    Each is computed with the float operations of :func:`coefficients_from_m`
-    and :func:`check_from_m`, in the same order, so every element equals the
-    value :func:`check_from_m` gives for that pair.
-    """
+def _cone_values(m1: float | np.ndarray, m2: float | np.ndarray) -> tuple:
+    """``a``, ``b`` and the three inequality values for floats or float
+    arrays ``m1`` and ``m2``: the one home of these float operations, so
+    the scan's values are element for element the scalar path's."""
     denom = 2.0 + 3.0 * LOG3
     a = (m1 + m2 * LOG3) / denom
     b = (2.0 * m2 - 3.0 * m1) / denom
-    return a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a
+    return a, b, a + b, 2.0 * a - b * LOG3, b * b * LOG3 - 4.0 * a * a
 
 
 def _cone_flags(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +176,7 @@ def _cone_flags(m1: np.ndarray, m2: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     :func:`check_from_m`: the second marks an infeasible pair whose failing
     inequalities are all exactly zero.  A quotient ``m1 = p1/q1`` of the
     scan's integers has the sign of ``p1``, and is zero exactly when it is."""
-    v1, _, v3 = _cone_values(m1, m2)
+    _, _, v1, _, v3 = _cone_values(m1, m2)
     origin = (m1 == 0.0) & (m2 == 0.0)
     holds = (v1 > 0.0, m1 > 0.0, v3 > 0.0)
     feasible = holds[0] & holds[1] & holds[2]

@@ -109,10 +109,9 @@ def _bulk_term(spec: FamilySpec, minors: RadialSum, i: int, c: Fraction) -> Frac
 
 
 class _SlabTerms(NamedTuple):
-    """What the reference class fixes: the body volume, the centring
-    constant ``c_i`` of each axis and each axis's boundary term."""
+    """What the reference class fixes: the centring constant ``c_i`` of
+    each axis and each axis's boundary term."""
 
-    volume: Fraction
     centres: tuple[Fraction, ...]
     boundary: tuple[Fraction, ...]
 
@@ -131,7 +130,7 @@ def _slab_terms(n: int, b: Fraction) -> _SlabTerms:
     boundary = tuple(
         integrate_poly_boundary(P, x + c) for x, c in zip(axes, centres)
     )
-    return _SlabTerms(vol, centres, boundary)
+    return _SlabTerms(centres, boundary)
 
 
 def _axis_terms(spec: FamilySpec) -> tuple[Fraction, Fraction]:

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -32,12 +33,12 @@ from .character import (
     Verdict,
     build_report,
     kf_ruled_ratio,
-    required_ratio,
+    required_ratio,  # noqa: F401  perfbench/tracer.py wraps cli.required_ratio by name
     two_parameter_ratio,
 )
 from .exactnum import LogLinear, RadialSum, format_rational, parse_rational
 from .exprparse import parse_poly
-from .family import UnsolvableClassError, _check_dim, make_spec, solvable, transition_map
+from .family import UnsolvableClassError, _check_dim, make_spec, transition_map
 from .integrate import (
     facet_sigma,
     integrate_poly,
@@ -205,10 +206,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     # b outer: the b-determined half of each report is computed once per b.
     for b in b_values:
         for a in a_values:
-            ok = b > 1 and a > 0 and solvable(args.n, a, b)
+            spec = make_spec(args.n, a, b, force=True) if b > 1 and a > 0 else None
+            ok = spec is not None and spec.solvable
             values = ["", "", "", ""]
             if ok:
-                report = build_report(make_spec(args.n, a, b), 1, 1)
+                report = build_report(spec, 1, 1)
                 ratio = report.required_ratio
                 values = [
                     format_rational(report.boundary_term),
@@ -271,15 +273,21 @@ def cmd_verify_paper(args: argparse.Namespace) -> int:
 
 
 def _load_polytope(args: argparse.Namespace) -> DelzantPolytope:
+    # n is checked before the constructor enumerates vertices, whose cost
+    # grows steeply with n.
     if (args.standard is None) == (args.file is None):
         raise ValueError("give exactly one of --standard N,B or --file PATH")
     if args.standard is not None:
         parts = args.standard.split(",")
         if len(parts) != 2:
             raise ValueError(f"--standard expects N,B; got {args.standard!r}")
-        return standard_blowup_polytope(int(parts[0]), parse_rational(parts[1]))
+        n = int(parts[0])
+        _check_dim(n, least=1)
+        return standard_blowup_polytope(n, parse_rational(parts[1]))
     with open(args.file, "r", encoding="utf-8") as fh:
-        return DelzantPolytope.from_json_dict(json.load(fh))
+        doc = json.load(fh)
+    _check_dim(doc["n"], least=1)
+    return DelzantPolytope.from_json_dict(doc)
 
 
 def _point(v) -> str:
@@ -424,15 +432,13 @@ def cmd_kf_check(args: argparse.Namespace) -> int:
         h, e = ruled.blowup_class
         if e <= 0 or h <= e:
             raise ValueError(f"blow-up class {h}*H - {e}*E is not Kahler; no cross-check")
-        a = Fraction(h, e)
-        pipeline = required_ratio(make_spec(2, a, 3))
-        scaled = None if pipeline is None else pipeline * Fraction(1, e**2)
+        pipeline = two_parameter_ratio(2, (3, 1), (h, e))
         cross = {
             "class": ruled.blowup_class_str,
-            "reduced_a": format_rational(a),
-            "b": "3",
-            "pipeline_ratio": _json_value(scaled),
-            "match": scaled == ruled.ratio,
+            "reduced_a": pipeline["reduced_a"],
+            "b": pipeline["reduced_b"],
+            "pipeline_ratio": pipeline["required_ratio"],
+            "match": pipeline["required_ratio"] == format_rational(ruled.ratio),
         }
     options = _options(args, "genus", "k", "kprime", "k1", "k2")
     body = {
@@ -463,11 +469,9 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
     if args.scan:
         if args.m1 is not None or args.m2 is not None:
             raise ValueError("give either --m1/--m2 or --scan, not both")
-        grid_bound = 50 if args.grid_bound is None else args.grid_bound
-        samples = 10_000 if args.samples is None else args.samples
-        seed = 42 if args.seed is None else args.seed
-        result = infeasibility_scan(grid_bound=grid_bound, random_samples=samples, seed=seed)
-        options = {"scan": True, "grid_bound": grid_bound, "samples": samples}
+        given = dict(grid_bound=args.grid_bound, random_samples=args.samples, seed=args.seed)
+        result = infeasibility_scan(**{k: v for k, v in given.items() if v is not None})
+        options = {"scan": True, "grid_bound": result.grid_bound, "samples": result.random_samples}
 
         def scan_text():
             yield (f"checked {result.checked} pairs (grid |m| <= {result.grid_bound}, "
@@ -476,7 +480,7 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
             yield f"marginal (knife-edge) pairs: {len(result.marginal_pairs)}"
             yield f"all infeasible: {'yes' if result.all_infeasible else 'NO'}"
 
-        return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), seed=seed)
+        return _finish(args, options, {"scan": result.to_json_dict()}, scan_text(), result.seed)
     if args.grid_bound is not None or args.samples is not None:
         raise ValueError("--grid-bound and --samples need --scan")
     if args.seed is not None:
@@ -484,6 +488,10 @@ def cmd_ample_check(args: argparse.Namespace) -> int:
     if args.m1 is None or args.m2 is None:
         raise ValueError("give --m1 and --m2, or --scan")
     res = check_from_m(args.m1, args.m2)
+    # float() raises OverflowError on an entry past the float range.
+    shown = (float(args.m1), float(args.m2), res.a, res.b, *res.values)
+    if not all(map(math.isfinite, shown)):
+        raise ValueError("a displayed value does not fit in a float")
     check = res.to_json_dict()
     options = _options(args, "m1", "m2")
 
@@ -611,8 +619,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=_rat_arg)
     p.add_argument("--m2", type=_rat_arg)
     p.add_argument("--scan", action="store_true", help="run the infeasibility scan")
-    p.add_argument("--grid-bound", type=int, help="scan |m1|, |m2| up to this (default 50)")
-    p.add_argument("--samples", type=int, help="random pairs the scan adds (default 10000)")
+    p.add_argument("--grid-bound", type=int, help="scan |m1|, |m2| up to this")
+    p.add_argument("--samples", type=int, help="random pairs the scan adds")
     p.set_defaults(func=cmd_ample_check)
 
     for p in (parser, *sub.choices.values()):

@@ -285,14 +285,7 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms = dict(self._terms)
-        for alpha, c in q._terms.items():
-            s = terms.get(alpha, Fraction(0)) + c
-            if s == 0:
-                terms.pop(alpha, None)
-            else:
-                terms[alpha] = s
-        return MultiPoly(self.n, terms)
+        return MultiPoly(self.n, [*self._terms.items(), *q._terms.items()])
 
     __radd__ = __add__
 
@@ -315,16 +308,11 @@ class MultiPoly:
         q = self._coerce(other)
         if q is None:
             return NotImplemented
-        terms: dict[Exponent, Fraction] = {}
-        for a1, c1 in self._terms.items():
-            for a2, c2 in q._terms.items():
-                alpha = tuple(e1 + e2 for e1, e2 in zip(a1, a2))
-                s = terms.get(alpha, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(alpha, None)
-                else:
-                    terms[alpha] = s
-        return MultiPoly(self.n, terms)
+        products = (
+            (tuple(e1 + e2 for e1, e2 in zip(a1, a2)), c1 * c2)
+            for a1, c1 in self._terms.items() for a2, c2 in q._terms.items()
+        )
+        return MultiPoly(self.n, products)
 
     __rmul__ = __mul__
 

@@ -30,9 +30,10 @@ from .exactnum import (
 )
 from .polytope import Point, as_point
 
-# Largest dimension accepted.  A report on a new reference class
-# re-triangulates the polytope, and its time grows steeply with n: about 2 s
-# at n = 8 and 6 to 13 s at n = 10 on a 2-core machine.
+# Largest dimension accepted, also by the CLI's polytope loader.  A report
+# on a new reference class re-triangulates the polytope, and its time grows
+# steeply with n: about 2 s at n = 8 and 6 to 13 s at n = 10 on a 2-core
+# machine.
 MAX_DIM = 10
 
 
@@ -65,14 +66,9 @@ def slope_lambda_intersection(n: int, a: RationalLike, b: RationalLike) -> Fract
     return n * mixed / top
 
 
-def solvable(n: int, a: RationalLike, b: RationalLike) -> bool:
-    """Whether the radial solution exists: strict inequality ``lam > n - 1``."""
-    return slope_lambda_intersection(n, a, b) > n - 1
-
-
-def _check_dim(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension must be an int >= 2, got {n!r}")
+def _check_dim(n: int, least: int = 2) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"dimension must be an int >= {least}, got {n!r}")
     if n > MAX_DIM:
         raise ValueError(f"dimension {n} exceeds cap {MAX_DIM}")
 

@@ -147,17 +147,14 @@ def integrate_poly_facet(
     determinant; the result is independent of that choice.
     """
     q = _as_poly(P.n, p)
-    if not isinstance(i, int) or not 0 <= i < P.num_facets:
-        raise ValueError(
-            f"facet index {i} out of range (polytope has {P.num_facets} facets)"
-        )
+    simplices = P.facet_triangulate(i)
     normal = P.halfspaces[i].v
     if transversal is None:
         # The first coordinate axis the normal sees.
         j = next(k for k, c in enumerate(normal) if c != 0)
         transversal = tuple(1 if k == j else 0 for k in range(P.n))
     total = Fraction(0)
-    for s in P.facet_triangulate(i):
+    for s in simplices:
         measure = sigma_simplex_measure(s, normal, transversal)
         total += monomial_simplex_integral(s, q, measure)
     return total

@@ -20,7 +20,6 @@ from toricfutaki.ampleness import (
     _pair_blocks,
     _random_draws,
     check_from_m,
-    coefficients_from_m,
     infeasibility_scan,
 )
 from toricfutaki.exactnum import format_rational
@@ -81,20 +80,20 @@ class TestCoefficients:
     # Frozen from (m1 + m2*log3)/(2 + 3*log3) and (2*m2 - 3*m1)/(2 + 3*log3)
     # at IEEE double precision with log3 = math.log(3).
     def test_frozen_values(self):
-        a, b = coefficients_from_m(1, 0)
-        assert math.isclose(a, 0.18882756876808648, rel_tol=1e-15)
-        assert math.isclose(b, -0.5664827063042595, rel_tol=1e-15)
-        a, b = coefficients_from_m(0, 1)
-        assert math.isclose(a, 0.20744828748794236, rel_tol=1e-15)
-        assert math.isclose(b, 0.37765513753617297, rel_tol=1e-15)
-        a, b = coefficients_from_m(1, 1)
+        c = check_from_m(1, 0)
+        assert math.isclose(c.a, 0.18882756876808648, rel_tol=1e-15)
+        assert math.isclose(c.b, -0.5664827063042595, rel_tol=1e-15)
+        c = check_from_m(0, 1)
+        assert math.isclose(c.a, 0.20744828748794236, rel_tol=1e-15)
+        assert math.isclose(c.b, 0.37765513753617297, rel_tol=1e-15)
+        c = check_from_m(1, 1)
         denom = 2 + 3 * LOG3
-        assert math.isclose(a, (1 + LOG3) / denom, rel_tol=1e-15)
-        assert math.isclose(b, -1 / denom, rel_tol=1e-15)
+        assert math.isclose(c.a, (1 + LOG3) / denom, rel_tol=1e-15)
+        assert math.isclose(c.b, -1 / denom, rel_tol=1e-15)
 
     def test_rejects_floats(self):
         with pytest.raises(TypeError):
-            coefficients_from_m(0.5, 1)
+            check_from_m(0.5, 1)
 
 
 class TestNakaiCheck:
@@ -147,6 +146,36 @@ class TestNakaiCheck:
         assert res.holds == (False, False, False)
         assert res.marginal == (True, True, True)
         assert scan_marginal(res)
+
+    @pytest.mark.parametrize("scale", [Fraction(10**200), Fraction(1, 10**200)],
+                             ids=["10^200", "10^-200"])
+    def test_flags_kept_at_extreme_scales(self, scale):
+        # The sides are homogeneous in (m1, m2), so scaling keeps every flag,
+        # although the unscaled floats of the third side overflow or underflow.
+        for i, j in product(range(-3, 4), repeat=2):
+            base, far = check_from_m(i, j), check_from_m(i * scale, j * scale)
+            assert (far.holds, far.marginal) == (base.holds, base.marginal), (i, j)
+
+    @pytest.mark.parametrize("m1, m2, holds", [
+        (Fraction(1, 10**200), 0, (False, True, True)),
+        (Fraction(-1, 10**170), Fraction(1, 10**170), (True, False, True)),
+        (Fraction(10**200), 0, (False, True, True)),
+    ], ids=["underflow", "underflow-mixed", "overflow"])
+    def test_out_of_float_range_sides(self, m1, m2, holds):
+        # Side 3 is m1^2 (9 log3 - 4)/D^2 > 0 at (m1, 0); (-1, 1) holds it too.
+        res = check_from_m(m1, m2)
+        assert res.holds == holds and not any(res.marginal)
+        assert not any(math.isnan(v) for v in (res.a, res.b, *res.values))
+        assert res.values[2] == (math.inf if m1 > 1 else 0.0)
+
+    def test_display_values_scale_exactly(self):
+        # A power-of-two scaling is exact, so while every float stays normal
+        # the values scale by 2^100 (degree 1) and 2^200 (degree 2).
+        for i, j in product(range(-3, 4), repeat=2):
+            base, far = check_from_m(i, j), check_from_m(i * 2**100, j * 2**100)
+            assert (far.a, far.b) == (base.a * 2.0**100, base.b * 2.0**100)
+            assert far.values == (base.values[0] * 2.0**100, base.values[1] * 2.0**100,
+                                  base.values[2] * 2.0**200)
 
     def test_json_shape(self):
         d = check_from_m(2, 3).to_json_dict()
@@ -270,7 +299,7 @@ class TestVectorizedScan:
         values = _cone_values(m1, m2)
         for k, (p, q) in enumerate(pairs):
             res = check_from_m(p, q)
-            assert tuple(float(v[k]) for v in values) == res.values, (p, q)
+            assert tuple(float(v[k]) for v in values) == (res.a, res.b, *res.values), (p, q)
             assert feasible[k] == res.feasible, (p, q)
             assert marginal[k] == scan_marginal(res), (p, q)
         return feasible, marginal

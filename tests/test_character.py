@@ -264,7 +264,6 @@ class TestSlabMemo:
         P = standard_blowup_polytope(n, b)
         slab = _slab_terms(n, spec.b)
         bd, bk = _axis_terms(spec)
-        assert slab.volume == volume(P)
         for i in range(n):
             assert slab.centres[i] == c_constant(P, i)
             assert slab.boundary[i] == classical_futaki_axis(P, i) == bd
@@ -309,41 +308,36 @@ class TestTwoParameterClasses:
         assert out["scale"] == "1"
         assert out["required_ratio"] == "-1/8"
 
-    def test_scaling_covariance_against_independent_slab(self):
-        # Same rays, doubled polarization: reduce (6,2) to b=3 and rescale.
-        out = two_parameter_ratio(2, kahler=(6, 2), bundle=(11, 1))
-        assert out["scale"] == "2"
-        assert out["required_ratio"] == "-1/4"
+    @pytest.mark.parametrize("n, kahler, bundle, ratio", [
+        (2, (6, 2), (11, 1), F(-1, 4)),
+        (2, (9, 3), (22, 2), F(-3, 32)),
+        (2, (5, 1), (12, 3), F(-8, 3)),
+        (3, (4, 2), (9, 3), F(-49, 81)),
+    ], ids=["n2-6H2E-11H1E", "n2-9H3E-22H2E", "n2-5H1E-12H3E", "n3-4H2E-9H3E"])
+    def test_scaling_covariance_against_independent_slab(self, n, kahler, bundle, ratio):
+        # The reduction rescales both classes to exceptional size 1; here the
+        # ratio is recomputed on the unreduced slab {x >= 0, e_k <= X <= h_k},
+        # with the profile f(X) = Abar*X + Bbar*X^(1-n) taking e_k to e_b and
+        # h_k to h_b, whose minor sum is binom(n, 2)*(Abar^2 - Bbar^2*X^(-2n)).
+        assert two_parameter_ratio(n, kahler, bundle)["required_ratio"] == str(ratio)
+        (hk, ek), (hb, eb) = [(F(h), F(e)) for h, e in (kahler, bundle)]
+        hs = [HalfSpace(tuple(int(j == i) for j in range(n)), F(0)) for i in range(n)]
+        Q = DelzantPolytope(n, hs + [HalfSpace((1,) * n, -ek), HalfSpace((-1,) * n, hk)])
+        # Cramer's rule for Abar*t + Bbar*t^(1-n) = f(t) at t = e_k, h_k.
+        det = ek * hk ** (1 - n) - hk * ek ** (1 - n)
+        Abar = (eb * hk ** (1 - n) - hb * ek ** (1 - n)) / det
+        Bbar = (ek * hb - hk * eb) / det
+        assert Abar * ek + Bbar * ek ** (1 - n) == eb
+        assert Abar * hk + Bbar * hk ** (1 - n) == hb
 
-        # Independent recomputation on the unreduced slab {x>=0, 2<=X<=6}:
-        # the profile fixing f(2)=1, f(6)=11 has slopes Abar=2, Bbar=-6.
-        hs = [
-            HalfSpace((1, 0), Fraction(0)),
-            HalfSpace((0, 1), Fraction(0)),
-            HalfSpace((1, 1), Fraction(-2)),
-            HalfSpace((-1, -1), Fraction(6)),
-        ]
-        Q = DelzantPolytope(2, hs)
-        Abar, Bbar = F(2), F(-6)
-        assert Abar * 2 + Bbar / 2 == 1
-        assert Abar * 6 + Bbar / 6 == 11
-
-        bd = classical_futaki_axis(Q, 0)
-        assert bd == F(4, 3)
-
-        minor = RadialSum(
-            2,
-            [
-                (MultiPoly.constant(2, Abar**2), 0),
-                (MultiPoly.constant(2, -(Bbar**2)), -4),
-            ],
-        )
-        c = -integrate_poly(Q, MultiPoly.variable(2, 0)) / volume(Q)
-        integrand = minor.mul_poly(MultiPoly.variable(2, 0) + c)
-        bulk = integrate_radial_slab(2, 2, 6, integrand)
-        assert bulk.q1 == 0 and bulk.q0 == F(8, 3)
-
-        assert -bd / (2 * bulk.q0) == F(-1, 4)
+        pairs = n * (n - 1) // 2
+        minor = RadialSum(n, [(MultiPoly.constant(n, pairs * Abar**2), 0),
+                              (MultiPoly.constant(n, -pairs * Bbar**2), -2 * n)])
+        x1 = MultiPoly.variable(n, 0)
+        c = -integrate_poly(Q, x1) / volume(Q)
+        bulk = integrate_radial_slab(n, ek, hk, minor.mul_poly(x1 + c))
+        assert bulk.q1 == 0
+        assert -classical_futaki_axis(Q, 0) / (2 * bulk.q0) == ratio
 
     def test_class_validation(self):
         with pytest.raises(ValueError):

@@ -379,6 +379,30 @@ class TestPolytope:
         assert "volume = 4" in out
         assert "delzant: yes" in out
 
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    @pytest.mark.parametrize("command", [("polytope",), ("integrate", "--poly", "x1")],
+                             ids=["polytope", "integrate"])
+    def test_dimension_cap(self, capsys, tmp_path, monkeypatch, command, mode):
+        # The cap is checked before vertex enumeration, whose cost grows
+        # steeply with n; n = 10 reaches it, n = 11 does not.
+        def enumerate_vertices(n, hs):
+            raise ValueError(f"enumerating n = {n}")
+
+        monkeypatch.setattr(DelzantPolytope, "_enumerate_vertices",
+                            staticmethod(enumerate_vertices))
+        for n, message in ((11, "dimension 11 exceeds cap 10"), (10, "enumerating n = 10")):
+            path = tmp_path / f"p{n}.json"
+            path.write_text(json.dumps({"n": n, "halfspaces": [
+                {"v": [int(j == i) for j in range(n)], "lam": "0"} for i in range(n)
+            ] + [{"v": [1] * n, "lam": "-1"}, {"v": [-1] * n, "lam": "3"}]}))
+            for source in (("--standard", f"{n},3"), ("--file", str(path))):
+                rc, out, err = run(capsys, *command, *source, *mode)
+                assert (rc, out, err) == (1, "", f"error: {message}\n")
+
+    def test_dimension_one(self, capsys):
+        doc = run_json(capsys, "polytope", "--standard", "1,3", "--json")
+        assert doc["volume"] == "2" and doc["vertices"] == [["1"], ["3"]]
+
 
 class TestFamily:
     def test_family_json(self, capsys):
@@ -511,6 +535,19 @@ class TestKfCheck:
         assert rc == 0
         assert "[MATCH]" in out
 
+    @pytest.mark.parametrize("k1, k2, cls, reduced_a", [
+        ("5", "1", "16*H - 8*E", "2"),
+        ("7", "1", "22*H - 10*E", "11/5"),
+        ("9", "2", "29*H - 15*E", "29/15"),
+        ("6", "-1", "17*H - 3*E", "17/3"),
+    ], ids=["16H-8E", "22H-10E", "29H-15E", "17H-3E"])
+    def test_cross_check_bundle_scale(self, capsys, k1, k2, cls, reduced_a):
+        # e > 1: the two-parameter reduction's bundle scale 1/e^2 enters the
+        # pipeline ratio compared against the ruled-surface formula.
+        doc = run_json(capsys, "kf-check", "--k1", k1, "--k2", k2, "--cross-check", "--json")
+        assert doc["cross_check"] == {"class": cls, "reduced_a": reduced_a, "b": "3",
+                                      "pipeline_ratio": doc["ratio"], "match": True}
+
 
 class TestAmpleCheck:
     def test_single_pair(self, capsys):
@@ -576,6 +613,21 @@ class TestAmpleCheck:
         assert rc == 0
         assert "[marginal]" in out
         assert "feasible: no" in out
+
+    @pytest.mark.parametrize("mode", [(), ("--json",)], ids=["text", "json"])
+    def test_sides_past_the_float_range(self, capsys, mode):
+        # The third side is m1^2 (9 log3 - 4)/D^2 > 0 at (m1, 0), and holds
+        # at (-1, 1); its float underflows at these pairs.
+        for m1, m2 in ((f"1/{10**200}", "0"), (f"-1/{10**170}", f"1/{10**170}")):
+            rc, out, err = run(capsys, "ample-check", "--m1", m1, "--m2", m2, *mode)
+            assert (rc, err) == (0, "") and "nan" not in out.lower()
+            if mode:
+                assert json.loads(out)["check"]["inequalities"][2]["holds"] is True
+            else:
+                assert "b^2*log3-4a^2>0: 0.000000e+00  holds" in out
+        # Here it overflows: no value to print.
+        rc, out, err = run(capsys, "ample-check", "--m1", str(10**200), "--m2", "0", *mode)
+        assert (rc, out, err) == (1, "", "error: a displayed value does not fit in a float\n")
 
 
 class TestOptions:

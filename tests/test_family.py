@@ -18,7 +18,6 @@ from toricfutaki.family import (
     minor_sum_radial,
     radial_profile,
     slope_lambda_intersection,
-    solvable,
     transition_map,
 )
 
@@ -61,9 +60,9 @@ class TestSpecConstruction:
     def test_solvability_threshold_is_strict(self):
         # lam(2, 5/3, 3) = 2*(5-1)/8 = 1 exactly: not solvable.
         assert slope_lambda_intersection(2, F(5, 3), 3) == 1
-        assert not solvable(2, F(5, 3), 3)
-        assert solvable(2, 2, 3)
-        assert not solvable(2, 1, 3)
+        assert not make_spec(2, F(5, 3), 3, force=True).solvable
+        assert make_spec(2, 2, 3, force=True).solvable
+        assert not make_spec(2, 1, 3, force=True).solvable
 
     def test_unsolvable_raises_unless_forced(self):
         with pytest.raises(UnsolvableClassError, match="slope constant"):
