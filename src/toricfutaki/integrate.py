@@ -16,9 +16,12 @@ Three exact integral types are provided:
 The Monte Carlo estimator is deliberately independent of all of that: it
 rejection-samples the bounding box with a counter-based generator, so it
 can arbitrate between an exact result and a transcription mistake.  Its
-stream is indexed by sample position, and it draws, tests and sums one
-fixed block of sample indices per pass, which fixes the estimate bit for
-bit and keeps its memory at one block.
+stream is indexed by sample position, and it reduces fixed blocks of
+sample indices, each a pure function of the seed and its start.  Two
+worker threads share the blocks (numpy draws without holding the GIL), and
+each works through a block in smaller chunks, so the estimate is fixed bit
+for bit and memory is one block per worker.  The integrand is called per
+chunk from the workers, so it must be row-wise and keep no state.
 """
 
 from __future__ import annotations
@@ -250,13 +253,20 @@ def slab_bounds(P: DelzantPolytope) -> tuple[Fraction, Fraction] | None:
 # ---------------------------------------------------------------------------
 # Monte Carlo oracle.
 
-# Memory is one block whatever the sample count; this cap bounds the running
-# time of one call (tens of seconds at a few million samples per second).
+# Memory is one block per worker whatever the sample count; this cap bounds
+# the running time of one call (tens of seconds at a few million samples per
+# second).
 MAX_MC_SAMPLES = 50_000_000
 
-# Samples are drawn and reduced in fixed blocks of this many indices; read
-# at call time.
+# Philox keys are 128-bit, so seeds lie in [0, MC_SEED_BOUND).
+MC_SEED_BOUND = 1 << 128
+
+# Samples are reduced in fixed blocks of MC_BLOCK indices, shared by up to
+# MC_WORKERS threads, and drawn, tested and evaluated MC_CHUNK samples at a
+# time inside a block.  All three are read at call time.
 MC_BLOCK = 1 << 15
+MC_WORKERS = 2
+MC_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -287,15 +297,23 @@ def mc_integrate(
     counter steps (Philox emits four 64-bit words per step), so the stream
     consumed by sample ``i`` depends only on ``i`` and the seed.  Each
     sample's accept test sums its half-space values axis by axis, so it
-    does not depend on where the sample sits in a block either.  ``f`` is
-    called only on accepted points and must map an ``(m, n)`` float array
-    to ``m`` values.
+    does not depend on where the sample sits in a block either.
 
-    Samples are drawn and reduced in one pass per block of ``MC_BLOCK``
-    sample indices: reused buffers hold a block's draws, points and values,
-    ``np.sum`` gives the block's sum and sum of squares, and ``math.fsum``
-    combines the block sums.  (Not ``np.dot``: BLAS may split a long dot
-    product by thread count.)  Memory is one block whatever ``samples`` is.
+    Samples are reduced in blocks of ``MC_BLOCK`` sample indices.  A block
+    is a pure function of ``(seed, start)``: its own generator, advanced to
+    the block's first counter, fills a reused block-long value buffer
+    ``MC_CHUNK`` samples at a time, and ``np.sum`` gives the block's sum and
+    sum of squares.  (Not ``np.dot``: BLAS may split a long dot product by
+    thread count.)  ``min(MC_WORKERS, blocks)`` threads, in a pool that
+    ends with the call, take the blocks in turn; ``math.fsum`` combines the
+    block sums in block order.  So a seed and a sample count fix the result
+    bit for bit whatever the worker count, and memory is one block per
+    worker whatever ``samples`` is.
+
+    ``f`` is called only on accepted points, one chunk at a time, from the
+    worker threads.  It must map an ``(m, n)`` float array to ``m`` values,
+    each depending on its own row only, and it must keep no state between
+    calls.  An exception it raises reaches the caller.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -304,9 +322,10 @@ def mc_integrate(
             f"{samples} samples exceed the cap of {MAX_MC_SAMPLES}"
             " (it bounds the running time of one call)"
         )
-    if seed < 0:
-        raise ValueError("seed must be a non-negative int")
+    if not 0 <= seed < MC_SEED_BOUND:
+        raise ValueError(f"seed must be a non-negative int below 2**128, got {seed}")
     import numpy as np
+    from concurrent.futures import ThreadPoolExecutor
 
     n = P.n
     mins, maxs = P.bounding_box()
@@ -323,44 +342,72 @@ def mc_integrate(
     draws_per_sample = 4 * blocks_per_sample
 
     block = min(MC_BLOCK, samples)
-    # Reused buffers: one block of values, of draws, and of points stored
-    # axis by axis, so an accept test reads rows.
-    y = np.empty(block)
-    draws = np.empty((block, draws_per_sample))
-    coords = np.empty((n, block))
-    sums: list[float] = []
-    squares: list[float] = []
-    accepted = 0
-    for start in range(0, samples, block):
+    chunk = min(MC_CHUNK, block)
+    starts = range(0, samples, block)
+    workers = min(MC_WORKERS, len(starts))
+
+    def reduce_block(
+        start: int, y: np.ndarray, draws: np.ndarray, coords: np.ndarray
+    ) -> tuple[float, float, int]:
+        """Sum, sum of squares and hits of the block that starts at ``start``."""
         count = min(block, samples - start)
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(start * blocks_per_sample)
-        u = np.random.Generator(bitgen).random(out=draws[:count])
-        x = np.multiply(u[:, :n].T, widths[:, None], out=coords[:, :count])
-        x += lo[:, None]
-        inside = np.ones(count, dtype=bool)
-        for ((j, c), *rest), offset in planes:
-            value = x[j] * c
-            for j, c in rest:
-                value += x[j] * c
-            value += offset
-            inside &= value >= 0.0
-        hits = int(np.count_nonzero(inside))
+        gen = np.random.Generator(bitgen)
+        hits = 0
+        for at in range(0, count, chunk):
+            m = min(chunk, count - at)
+            u = gen.random(out=draws[:m])
+            x = np.multiply(u[:, :n].T, widths[:, None], out=coords[:, :m])
+            x += lo[:, None]
+            inside = np.ones(m, dtype=bool)
+            for ((j, c), *rest), offset in planes:
+                value = x[j] * c
+                for j, c in rest:
+                    value += x[j] * c
+                value += offset
+                inside &= value >= 0.0
+            k = int(np.count_nonzero(inside))
+            filled = y[at : at + m]
+            filled.fill(0.0)
+            if k:
+                vals = np.asarray(f(np.ascontiguousarray(x[:, inside].T)), dtype=float)
+                if vals.shape != (k,):
+                    raise ValueError("integrand must return one value per input point")
+                filled[inside] = vals
+            hits += k
         filled = y[:count]
-        filled.fill(0.0)
-        if hits:
-            vals = np.asarray(f(np.ascontiguousarray(x[:, inside].T)), dtype=float)
-            if vals.shape != (hits,):
-                raise ValueError("integrand must return one value per input point")
-            filled[inside] = vals
-        accepted += hits
-        sums.append(float(filled.sum()))
-        squares.append(float((filled * filled).sum()))
+        return float(filled.sum()), float((filled * filled).sum()), hits
 
+    failed: list[int] = []  # workers that raised; the others stop at their next block
+
+    def reduce_blocks(first: int) -> list[tuple[float, float, int]]:
+        """Blocks ``first``, ``first + workers``, ... in turn, with one set of buffers."""
+        # Reused buffers: one block of values, one chunk of draws, and one
+        # chunk of points stored axis by axis, so an accept test reads rows.
+        y = np.empty(block)
+        draws = np.empty((chunk, draws_per_sample))
+        coords = np.empty((n, chunk))
+        out = []
+        try:
+            for start in starts[first::workers]:
+                if failed:
+                    break
+                out.append(reduce_block(start, y, draws, coords))
+        except BaseException:
+            failed.append(first)
+            raise
+        return out
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        per_worker = list(pool.map(reduce_blocks, range(workers)))
+    # Block i was reduced by worker i % workers, as its (i // workers)-th block.
+    totals = [per_worker[i % workers][i // workers] for i in range(len(starts))]
+    accepted = sum(hits for _, _, hits in totals)
     if accepted == 0:
         raise ValueError("no sample hit the polytope; bounding box sampling failed")
-    mean = math.fsum(sums) / samples
-    var = max(math.fsum(squares) / samples - mean * mean, 0.0)
+    mean = math.fsum(s for s, _, _ in totals) / samples
+    var = max(math.fsum(q for _, q, _ in totals) / samples - mean * mean, 0.0)
     estimate = box_vol * mean
     stderr = box_vol * math.sqrt(var / samples)
     return MCResult(estimate, stderr, samples, accepted, seed)

@@ -39,6 +39,7 @@ from .family import (
     transition_map,
 )
 from .integrate import (
+    MC_SEED_BOUND,
     c_constant,
     integrate_poly,
     integrate_poly_boundary,
@@ -433,8 +434,15 @@ CHECK_NAMES = tuple(c.name for c in CHECKS)
 def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResult]:
     """Run the named checks (all by default) in registry order.
 
-    An empty selection is refused: it would report success on nothing.
+    An empty selection is refused: it would report success on nothing.  So
+    is a seed outside ``[0, 2**128 - 1)``, since the Monte Carlo checks key
+    Philox with both the seed and the seed plus one.
     """
+    if not 0 <= seed < MC_SEED_BOUND - 1:
+        raise ValueError(
+            "seed must be a non-negative int below 2**128 - 1"
+            f" (the Monte Carlo checks also draw with seed + 1), got {seed}"
+        )
     if names is None:
         selected = set(CHECK_NAMES)
     else:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output documents, exit codes, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import toricfutaki
-from toricfutaki import cli
+from toricfutaki import cli, verify
 from toricfutaki.character import SLAB_CACHE_SIZE, _slab_terms
 from toricfutaki.polytope import DelzantPolytope, HalfSpace
 from toricfutaki.verify import CheckResult, run_checks
@@ -295,6 +296,31 @@ class TestVerifyPaper:
     def test_empty_selection_rejected_by_library(self):
         with pytest.raises(ValueError, match="no checks selected"):
             run_checks([])
+
+    def test_seed_bound(self, capsys, monkeypatch):
+        # 2**128 - 2 is the largest seed whose seed + 1 still keys Philox.
+        doc = run_json(capsys, "verify-paper", "--only", "determinism",
+                       "--seed", str(2**128 - 2), "--json")
+        assert doc["ok"] and doc["manifest"]["seed"] == 2**128 - 2
+
+        def fail(seed):
+            raise AssertionError("no check may run")
+
+        monkeypatch.setattr(verify, "CHECKS", tuple(
+            dataclasses.replace(check, fn=fail) for check in verify.CHECKS))
+        for seed in (2**128 - 1, 2**128):
+            rc, out, err = run(capsys, "verify-paper", "--only", "mc-oracle,determinism",
+                               "--seed", str(seed))
+            assert (rc, out) == (1, "")
+            assert err == (
+                "error: seed must be a non-negative int below 2**128 - 1"
+                f" (the Monte Carlo checks also draw with seed + 1), got {seed}\n"
+            )
+
+    @pytest.mark.parametrize("seed", [-1, 2**128 - 1])
+    def test_seed_bound_in_library(self, seed):
+        with pytest.raises(ValueError, match=rf"below 2\*\*128 - 1 .*, got {seed}$"):
+            run_checks(["determinism"], seed=seed)
 
     def test_failure_exits_three(self, capsys, monkeypatch):
         fake = [CheckResult(name="n2-ratio", passed=False, anchor="x", detail="boom")]

@@ -1,6 +1,8 @@
 """Exact body, facet, and radial-slab integrals, plus the MC oracle."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -11,6 +13,7 @@ from toricfutaki.exactnum import LogLinear, MultiPoly, RadialSum
 from toricfutaki.integrate import (
     MAX_MC_SAMPLES,
     MC_BLOCK,
+    MC_SEED_BOUND,
     MCResult,
     c_constant,
     facet_sigma,
@@ -265,6 +268,37 @@ _TRAPEZOID = DelzantPolytope(
 )
 
 
+# Recorded results: any change to the Philox stream, the accept test or the
+# block reduction shows up as a different bit pattern.
+_PINNED = [
+    (2, "3", "volume", 1000, 1,
+     "0x1.f76c8b4395810p+1", "0x1.211ce2fc58b72p-3", 437),
+    (3, "5/2", "x1", MC_BLOCK, 7,
+     "0x1.a76beebf216fep+0", "0x1.b9682d5bf6928p-6", 5219),
+    (5, "7/3", "radial", 3 * MC_BLOCK + 17, 11,
+     "0x1.a052d7468b1b2p-10", "0x1.0030b311daa73p-12", 801),
+    (2, "3", "radial", 3 * MC_BLOCK + 17, 42,
+     "0x1.5629012fc2b22p-2", "0x1.4a40f239d951ap-9", 43835),
+    (3, "2", "volume", 3 * MC_BLOCK + 17, 1009,
+     "0x1.2cd2aeac445fap+0", "0x1.27f1e18ea68efp-7", 14442),
+    (5, "3", "x1", 1000, 2**32 - 1,
+     "0x1.4c6485c500401p+0", "0x1.1e5861c32364dp-1", 8),
+    (5, "5/2", "volume", MC_BLOCK, 3,
+     "0x1.95e2400000000p-1", "0x1.8c8fd63c22b7cp-5", 266),
+]
+_PINNED_ARGS = "n, b, integrand, samples, seed, estimate, stderr, accepted"
+
+
+def _pinned_call(n, b, integrand, samples, seed):
+    x1 = MultiPoly.variable(n, 0)
+    f = {
+        "volume": MultiPoly.constant(n, 1),
+        "x1": x1,
+        "radial": RadialSum.from_poly(x1, -2 * n),
+    }[integrand].eval_array
+    return mc_integrate(standard_blowup_polytope(n, b), f, samples=samples, seed=seed)
+
+
 class TestMonteCarlo:
     @pytest.mark.parametrize(
         "polytope, f",
@@ -277,44 +311,26 @@ class TestMonteCarlo:
         ],
     )
     def test_equals_reference_block_reduction(self, monkeypatch, polytope, f):
+        # Each block of 7 spans chunks of 3, 3 and 1; the last block is 3.
         monkeypatch.setattr(integrate, "MC_BLOCK", 7)
+        monkeypatch.setattr(integrate, "MC_CHUNK", 3)
         samples = 7 * 50 + 3
         ref = _reference_mc(polytope, f, samples, 3, block=7)
         assert 0 < ref.accepted < samples
         assert mc_integrate(polytope, f, samples=samples, seed=3) == ref
 
-    # Recorded results: any change to the Philox stream, the accept test or
-    # the block reduction shows up as a different bit pattern.
-    @pytest.mark.parametrize(
-        "n, b, integrand, samples, seed, estimate, stderr, accepted",
-        [
-            (2, "3", "volume", 1000, 1,
-             "0x1.f76c8b4395810p+1", "0x1.211ce2fc58b72p-3", 437),
-            (3, "5/2", "x1", MC_BLOCK, 7,
-             "0x1.a76beebf216fep+0", "0x1.b9682d5bf6928p-6", 5219),
-            (5, "7/3", "radial", 3 * MC_BLOCK + 17, 11,
-             "0x1.a052d7468b1b2p-10", "0x1.0030b311daa73p-12", 801),
-            (2, "3", "radial", 3 * MC_BLOCK + 17, 42,
-             "0x1.5629012fc2b22p-2", "0x1.4a40f239d951ap-9", 43835),
-            (3, "2", "volume", 3 * MC_BLOCK + 17, 1009,
-             "0x1.2cd2aeac445fap+0", "0x1.27f1e18ea68efp-7", 14442),
-            (5, "3", "x1", 1000, 2**32 - 1,
-             "0x1.4c6485c500401p+0", "0x1.1e5861c32364dp-1", 8),
-            (5, "5/2", "volume", MC_BLOCK, 3,
-             "0x1.95e2400000000p-1", "0x1.8c8fd63c22b7cp-5", 266),
-        ],
-    )
+    @pytest.mark.parametrize(_PINNED_ARGS, _PINNED)
     def test_pinned_results(self, n, b, integrand, samples, seed, estimate, stderr, accepted):
-        x1 = MultiPoly.variable(n, 0)
-        f = {
-            "volume": MultiPoly.constant(n, 1),
-            "x1": x1,
-            "radial": RadialSum.from_poly(x1, -2 * n),
-        }[integrand].eval_array
-        res = mc_integrate(standard_blowup_polytope(n, b), f, samples=samples, seed=seed)
+        res = _pinned_call(n, b, integrand, samples, seed)
         assert res == MCResult(
             float.fromhex(estimate), float.fromhex(stderr), samples, accepted, seed
         )
+
+    @pytest.mark.parametrize("n, b, integrand, samples, seed", [c[:5] for c in _PINNED])
+    def test_one_worker_equals_two(self, monkeypatch, n, b, integrand, samples, seed):
+        two = _pinned_call(n, b, integrand, samples, seed)
+        monkeypatch.setattr(integrate, "MC_WORKERS", 1)
+        assert _pinned_call(n, b, integrand, samples, seed) == two
 
     def test_memory_is_one_block(self):
         p = standard_blowup_polytope(5, F(7, 3))
@@ -363,6 +379,61 @@ class TestMonteCarlo:
             mc_integrate(p, lambda a: a, samples=100, seed=1)
         with pytest.raises(ValueError):
             mc_integrate(p, lambda a: a[:, 0], samples=MAX_MC_SAMPLES + 1, seed=1)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        p = standard_blowup_polytope(3, F(5, 2))
+        f = RadialSum.from_poly(MultiPoly.variable(3, 0), -6).eval_array
+        monkeypatch.setattr(integrate, "MC_BLOCK", 1000)
+        monkeypatch.setattr(integrate, "MC_CHUNK", 300)
+        monkeypatch.setattr(integrate, "MC_WORKERS", 1)
+        one = mc_integrate(p, f, samples=40_017, seed=5)
+        monkeypatch.setattr(integrate, "MC_WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = [mc_integrate(p, f, samples=40_017, seed=5) for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == [one] * 3
+
+    def test_seed_bound(self):
+        p = standard_blowup_polytope(2, 3)
+        res = mc_integrate(p, lambda a: a[:, 0], samples=10, seed=MC_SEED_BOUND - 1)
+        assert res.seed == 2**128 - 1
+        with pytest.raises(ValueError, match=rf"below 2\*\*128, got {2**128}$"):
+            mc_integrate(p, lambda a: a[:, 0], samples=10, seed=MC_SEED_BOUND)
+
+    def test_no_thread_outlives_a_call(self):
+        p = standard_blowup_polytope(3, 2)
+        before = threading.active_count()
+        mc_integrate(p, lambda a: a[:, 0], samples=3 * MC_BLOCK, seed=1)
+        assert threading.active_count() == before
+        with pytest.raises(ValueError, match="one value per input point"):
+            mc_integrate(p, lambda a: a, samples=3 * MC_BLOCK, seed=1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_errors_reach_the_caller(self, monkeypatch, workers):
+        monkeypatch.setattr(integrate, "MC_WORKERS", workers)
+        p = standard_blowup_polytope(3, 2)
+        calls = []
+
+        def fails_late(a):
+            calls.append(len(a))
+            if len(calls) == 6:
+                raise ValueError("integrand failed")
+            return a[:, 0]
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="integrand failed"):
+            mc_integrate(p, fails_late, samples=40 * MC_BLOCK, seed=1)
+        # Only the sixth call raises.  The other worker finishes at most the
+        # block it is in and one it had just started, then stops instead of
+        # reducing the rest of its 20 blocks.
+        assert len(calls) <= 6 + 2 * (MC_BLOCK // integrate.MC_CHUNK)
+        with pytest.raises(ValueError, match="one value per input point"):
+            mc_integrate(p, lambda a: a[:-1, 0], samples=4 * MC_BLOCK, seed=1)
+        assert threading.active_count() == before
 
     def test_agrees_with_exact_zero_stderr(self):
         r = MCResult(estimate=4.0, stderr=0.0, samples=1, accepted=1, seed=0)
