@@ -32,8 +32,8 @@ from .polytope import Point, as_point
 
 # Largest dimension accepted, also by the CLI's polytope loader.  A report
 # on a new reference class re-triangulates the polytope, and its time grows
-# steeply with n: about 2 s at n = 8 and 6 to 13 s at n = 10 on a 2-core
-# machine.
+# steeply with n: about 2.6 s at n = 8 and 6 to 8 s at n = 10 on a 2-core
+# machine (CLI, median of 3).
 MAX_DIM = 10
 
 
@@ -159,10 +159,10 @@ def jacobian(spec: FamilySpec, x: Sequence[RationalLike]) -> list[list[Fraction]
     n = spec.n
     s = spec.A + spec.B * X ** (-n)
     r = -n * spec.B * X ** (-(n + 1))
-    return [
-        [s + r * pt[i] if i == j else r * pt[i] for j in range(n)]
-        for i in range(n)
-    ]
+    rows = [[r * c] * n for c in pt]
+    for i, row in enumerate(rows):
+        row[i] = s + row[i]
+    return rows
 
 
 def jacobian_det(spec: FamilySpec, x: Sequence[RationalLike]) -> Fraction:

@@ -3,11 +3,12 @@
 A polytope is given by inequalities ``l_i(x) = <x, v_i> + lam_i >= 0`` with
 primitive integer normals ``v_i`` and rational offsets ``lam_i``.
 Construction enumerates all vertices exactly, rejects unbounded or
-lower-dimensional input, and prunes half-spaces whose tight set is not a
-facet.  On top of that sit pulling triangulations (of the body and of each
-facet), the smooth-vertex test, and the one-parameter family of model
-polytopes used throughout: the simplex of size ``b`` truncated at the
-origin corner, ``{x >= 0, 1 <= x_1 + ... + x_n <= b}``.
+lower-dimensional input, prunes half-spaces whose tight set is not a facet,
+and stores the vertex-facet incidence.  On top of that sit pulling
+triangulations (of the body and of each facet, with faces read from the
+stored incidence), the smooth-vertex test, and the one-parameter family
+of model polytopes used throughout: the simplex of size ``b`` truncated
+at the origin corner, ``{x >= 0, 1 <= x_1 + ... + x_n <= b}``.
 """
 
 from __future__ import annotations
@@ -146,9 +147,10 @@ class DelzantPolytope:
     The constructor runs the whole pipeline: exact vertex enumeration over
     all ``n``-subsets of half-spaces, a recession-direction test for
     boundedness, a full-dimensionality check on the vertex set, and pruning
-    of half-spaces whose tight set has affine rank below ``n - 1``.  Facet
-    indices used elsewhere always refer to the pruned list, whose order
-    follows the input.
+    of half-spaces whose tight set has affine rank below ``n - 1``.  It
+    evaluates each (half-space, vertex) pair once, into the incidence table
+    that the face walk reads.  Facet indices used elsewhere always refer to
+    the pruned list, whose order follows the input.
     """
 
     __slots__ = ("n", "_halfspaces", "_vertices", "_tight", "_facet_vertices")
@@ -178,7 +180,6 @@ class DelzantPolytope:
         if affine_rank(verts) != n:
             raise ValueError("polytope is not full-dimensional")
 
-        tight: dict[Point, tuple[int, ...]] = {}
         facet_verts: list[tuple[Point, ...]] = []
         kept: list[HalfSpace] = []
         for h in hs:
@@ -186,10 +187,10 @@ class DelzantPolytope:
             if affine_rank(on) == n - 1:
                 kept.append(h)
                 facet_verts.append(on)
-        for v in verts:
-            tight[v] = tuple(
-                i for i, h in enumerate(kept) if h.value(v) == 0
-            )
+        tight: dict[Point, tuple[int, ...]] = {v: () for v in verts}
+        for i, on in enumerate(facet_verts):
+            for v in on:
+                tight[v] += (i,)
 
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_halfspaces", tuple(kept))
@@ -209,11 +210,8 @@ class DelzantPolytope:
             rows = [list(hs[i].v) for i in subset]
             rhs = [-hs[i].lam for i in subset]
             x = mat_solve(rows, rhs)
-            if x is None:
-                continue
-            pt = tuple(x)
-            if all(h.value(pt) >= 0 for h in hs):
-                verts.add(pt)
+            if x is not None and all(h.value(x) >= 0 for h in hs):
+                verts.add(tuple(x))
         return sorted(verts)
 
     @staticmethod
@@ -311,12 +309,14 @@ class DelzantPolytope:
     def _subfaces(
         self, face: tuple[Point, ...], d: int
     ) -> list[tuple[Point, ...]]:
-        """Codimension-one faces of a d-dimensional face, each sorted."""
+        """Codimension-one faces of a d-dimensional face, each sorted, read
+        from the stored vertex-facet incidence: no half-space is evaluated."""
         face_set = frozenset(face)
         seen: set[frozenset[Point]] = set()
         out: list[tuple[Point, ...]] = []
-        for h in self._halfspaces:
-            on = tuple(v for v in face if h.value(v) == 0)
+        tights = [self._tight[v] for v in face]
+        for i in range(len(self._halfspaces)):
+            on = tuple(v for v, t in zip(face, tights) if i in t)
             key = frozenset(on)
             if not on or key == face_set or key in seen:
                 continue

@@ -137,6 +137,22 @@ class TestJacobian:
         # s = 4 - 3/4 = 13/4, r = 6/8 = 3/4: diagonal 13/4 + 3/4 = 4.
         assert m == [[F(4), F(3, 4)], [F(3, 4), F(4)]]
 
+    def test_entries_match_definition(self):
+        for n, a, b, x in [
+            (3, 3, 2, (F(1, 2), F(1, 3), F(1, 4))),
+            (4, 5, F(5, 2), (F(1), F(1, 2), F(2, 3), F(3, 7))),
+        ]:
+            spec = make_spec(n, a, b)
+            X = sum(x)
+            s = spec.A + spec.B * X ** (-n)
+            r = -n * spec.B * X ** (-(n + 1))
+            m = jacobian(spec, x)
+            assert m == [
+                [s * (i == j) + r * x[i] for j in range(n)] for i in range(n)
+            ]
+            m[0][1] = F(0)
+            assert m[1][0] == r * x[1] and m[2][1] == r * x[2]
+
     def test_asymmetry_off_diagonal(self):
         s = make_spec(2, 11, 3)
         m = jacobian(s, (F(1), F(2)))

@@ -261,6 +261,98 @@ class TestTriangulation:
             p.facet_triangulate(0, "first")
 
 
+def _reference_subfaces(p, face, d):
+    """Sub-faces found by evaluating every half-space at every face vertex."""
+    face_set = frozenset(face)
+    seen = set()
+    out = []
+    for h in p.halfspaces:
+        on = tuple(v for v in face if h.value(v) == 0)
+        key = frozenset(on)
+        if not on or key == face_set or key in seen:
+            continue
+        if affine_rank(on) == d - 1:
+            seen.add(key)
+            out.append(on)
+    return out
+
+
+def _reference_pull(p, face, d, rule):
+    """The pulling walk over :func:`_reference_subfaces`, as vertex tuples."""
+    if len(face) == d + 1:
+        return [face]
+    apex = min(face) if rule == "lexmin" else max(face)
+    out = []
+    for sub in _reference_subfaces(p, face, d):
+        if apex in sub:
+            continue
+        out.extend(s + (apex,) for s in _reference_pull(p, sub, d - 1, rule))
+    return out
+
+
+def _incidence_cases():
+    cases = [
+        (f"blowup-{n}-{b}", standard_blowup_polytope(n, b))
+        for n in range(1, 6)
+        for b in (F(3, 2), F(2), F(7, 3))
+    ]
+    cases.append(
+        ("translate", standard_blowup_polytope(3, F(5, 2)).translate((2, F(-1, 3), 1)))
+    )
+    cases.append(("octahedron", octahedron()))
+    # x + y >= 0 is tight on the cube edge x = y = 0, but is no facet.
+    cube = unit_box(3)
+    cases.append(
+        ("redundant", DelzantPolytope(3, list(cube.halfspaces) + [HalfSpace((1, 1, 0), F(0))]))
+    )
+    cube_json = {
+        "n": 3,
+        "halfspaces": [
+            {"v": [s * int(i == j) for j in range(3)], "lam": lam}
+            for i in range(3)
+            for s, lam in ((1, 0), (-1, "2"))
+        ],
+    }
+    cases.append(("cube-json", DelzantPolytope.from_json_dict(cube_json)))
+    return cases
+
+
+INCIDENCE_CASES = _incidence_cases()
+INCIDENCE_IDS = [name for name, _ in INCIDENCE_CASES]
+
+
+class TestIncidence:
+    """Faces come from the stored vertex-facet incidence; these pin it to
+    direct evaluation of the half-spaces."""
+
+    def test_redundant_case_is_pruned(self):
+        p = dict(INCIDENCE_CASES)["redundant"]
+        assert p.num_facets == 6
+        assert p == unit_box(3)
+
+    @pytest.mark.parametrize("p", [p for _, p in INCIDENCE_CASES], ids=INCIDENCE_IDS)
+    def test_table_matches_evaluation(self, p):
+        verts = p.vertices()
+        assert list(p._tight) == verts
+        for v in verts:
+            assert p._tight[v] == tuple(
+                i for i, h in enumerate(p.halfspaces) if h.value(v) == 0
+            )
+        for i, h in enumerate(p.halfspaces):
+            assert p.facet_vertices(i) == [v for v in verts if h.value(v) == 0]
+
+    @pytest.mark.parametrize("rule", ["lexmin", "lexmax"])
+    @pytest.mark.parametrize("p", [p for _, p in INCIDENCE_CASES], ids=INCIDENCE_IDS)
+    def test_walk_matches_evaluating_walk(self, p, rule):
+        verts = tuple(p.vertices())
+        body = [s.vertices for s in p.triangulate(rule)]
+        assert body == _reference_pull(p, verts, p.n, rule)
+        for i, h in enumerate(p.halfspaces):
+            facet = tuple(v for v in verts if h.value(v) == 0)
+            parts = [s.vertices for s in p.facet_triangulate(i, rule)]
+            assert parts == _reference_pull(p, facet, p.n - 1, rule)
+
+
 class TestTransforms:
     def test_translate_identity(self):
         p = standard_blowup_polytope(2, 3)
