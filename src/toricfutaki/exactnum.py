@@ -14,8 +14,8 @@ classes cover the integrand types used downstream:
 
 A small exact linear-algebra kit over rational matrices lives here as
 well; the polytope, integrate and family modules share it.  Determinant,
-solve, rank and kernel vector all run one forward elimination
-(``_row_reduce``), followed where needed by one back substitution.
+solve, inverse, rank and kernel vector all run one forward elimination
+(``_row_reduce``), followed where needed by back substitution.
 All values are immutable after construction.
 """
 
@@ -155,6 +155,21 @@ def mat_solve(
         return None
     # The augmented column is the one free column: x = (solution, 1).
     return _null_vector(a, pivots, n, n + 1)[:n]
+
+
+def mat_inverse(rows: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...] | None:
+    """Rows of the inverse of a square rational matrix; None when it is singular."""
+    a = _copy_matrix(rows)
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("inverse requires a square matrix")
+    for k, row in enumerate(a):
+        row.extend(Fraction(-1 if c == k else 0) for c in range(n))
+    pivots, _ = _row_reduce(a, n)
+    if len(pivots) < n:
+        return None
+    # Augmented column n + k is free for column k of the inverse: A x = e_k.
+    return tuple(zip(*(_null_vector(a, pivots, n + k, 2 * n)[:n] for k in range(n))))
 
 
 def mat_rank(rows: Sequence[Sequence[RationalLike]]) -> int:

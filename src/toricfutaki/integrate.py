@@ -181,9 +181,10 @@ def c_constant(P: DelzantPolytope, i: int) -> Fraction:
     """The constant ``c`` making ``integral of (x_i + c) over P`` vanish."""
     if not 0 <= i < P.n:
         raise ValueError(f"coordinate index {i} out of range for n={P.n}")
-    vol = volume(P)
-    moment = integrate_poly(P, MultiPoly.variable(P.n, i))
-    return -moment / vol
+    x_i = MultiPoly.variable(P.n, i)
+    parts = [(s, s.volume()) for s in P.triangulate()]
+    moment = sum(monomial_simplex_integral(s, x_i, vol) for s, vol in parts)
+    return -moment / sum(vol for _, vol in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,17 @@ A polytope is given by inequalities ``l_i(x) = <x, v_i> + lam_i >= 0`` with
 primitive integer normals ``v_i`` and rational offsets ``lam_i``.
 Construction enumerates all vertices exactly, rejects unbounded or
 lower-dimensional input, prunes half-spaces whose tight set is not a facet,
-and stores the vertex-facet incidence.  On top of that sit pulling
-triangulations (of the body and of each facet, with faces read from the
-stored incidence), the smooth-vertex test, and the one-parameter family
-of model polytopes used throughout: the simplex of size ``b`` truncated
-at the origin corner, ``{x >= 0, 1 <= x_1 + ... + x_n <= b}``.
+and stores the vertex-facet incidence; what depends only on the normals
+is built once per normal fan.  On top of that sit pulling triangulations
+(of the body and of each facet, with faces read from the stored
+incidence), the smooth-vertex test, and the one-parameter family of model
+polytopes used throughout: the simplex of size ``b`` truncated at the
+origin corner, ``{x >= 0, 1 <= x_1 + ... + x_n <= b}``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,9 +26,9 @@ from .exactnum import (
     as_fraction,
     format_rational,
     mat_det,
+    mat_inverse,
     mat_kernel,
     mat_rank,
-    mat_solve,
     parse_rational,
 )
 
@@ -89,7 +91,7 @@ class HalfSpace:
 
     def value(self, x: Sequence[RationalLike]) -> Fraction:
         pt = as_point(x, self.n)
-        return sum((a * b for a, b in zip(pt, self.v)), self.lam)
+        return sum((a * b for a, b in zip(pt, self.v) if b), self.lam)
 
     def to_json_dict(self) -> dict:
         return {"v": list(self.v), "lam": format_rational(self.lam)}
@@ -147,10 +149,11 @@ class DelzantPolytope:
     The constructor runs the whole pipeline: exact vertex enumeration over
     all ``n``-subsets of half-spaces, a recession-direction test for
     boundedness, a full-dimensionality check on the vertex set, and pruning
-    of half-spaces whose tight set has affine rank below ``n - 1``.  It
-    evaluates each (half-space, vertex) pair once, into the incidence table
-    that the face walk reads.  Facet indices used elsewhere always refer to
-    the pruned list, whose order follows the input.
+    of half-spaces whose tight set has affine rank below ``n - 1``.  What
+    depends only on the normals comes from :func:`_normal_fan`, and each
+    (half-space, candidate vertex) pair is evaluated once, into the tight
+    sets that the pruning and the face walk read.  Facet indices used
+    elsewhere always refer to the pruned list, whose order follows the input.
     """
 
     __slots__ = ("n", "_halfspaces", "_vertices", "_tight", "_facet_vertices")
@@ -172,28 +175,26 @@ class DelzantPolytope:
                 f"vertex-enumeration budget of {MAX_VERTEX_SUBSETS} subsets"
             )
 
-        verts = self._enumerate_vertices(n, hs)
+        found = self._enumerate_vertices(n, hs)
+        verts = [v for v, _ in found]
         if not verts:
             raise ValueError("no vertices: the half-spaces cut out an empty or unbounded set")
-        if self._recession_direction(n, hs) is not None:
+        if not _normal_fan(n, tuple(h.v for h in hs))[0]:
             raise ValueError("polytope is unbounded (recession direction exists)")
         if affine_rank(verts) != n:
             raise ValueError("polytope is not full-dimensional")
 
         facet_verts: list[tuple[Point, ...]] = []
-        kept: list[HalfSpace] = []
-        for h in hs:
-            on = tuple(v for v in verts if h.value(v) == 0)
+        kept: dict[int, int] = {}  # input index -> facet index
+        for j in range(len(hs)):
+            on = tuple(v for v, t in found if j in t)
             if affine_rank(on) == n - 1:
-                kept.append(h)
+                kept[j] = len(kept)
                 facet_verts.append(on)
-        tight: dict[Point, tuple[int, ...]] = {v: () for v in verts}
-        for i, on in enumerate(facet_verts):
-            for v in on:
-                tight[v] += (i,)
+        tight = {v: tuple(kept[j] for j in t if j in kept) for v, t in found}
 
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_halfspaces", tuple(kept))
+        object.__setattr__(self, "_halfspaces", tuple(hs[j] for j in kept))
         object.__setattr__(self, "_vertices", tuple(verts))
         object.__setattr__(self, "_tight", tight)
         object.__setattr__(self, "_facet_vertices", tuple(facet_verts))
@@ -204,18 +205,22 @@ class DelzantPolytope:
     # -- construction helpers ----------------------------------------------
 
     @staticmethod
-    def _enumerate_vertices(n: int, hs: list[HalfSpace]) -> list[Point]:
-        verts: set[Point] = set()
-        for subset in itertools.combinations(range(len(hs)), n):
-            rows = [list(hs[i].v) for i in subset]
-            rhs = [-hs[i].lam for i in subset]
-            x = mat_solve(rows, rhs)
-            if x is not None and all(h.value(x) >= 0 for h in hs):
-                verts.add(tuple(x))
-        return sorted(verts)
+    def _enumerate_vertices(n: int, hs: list[HalfSpace]) -> list[tuple[Point, tuple[int, ...]]]:
+        """Each vertex, sorted, with the indices of the ``hs`` tight there."""
+        found: dict[Point, tuple[int, ...]] = {}
+        for subset, inverse in _normal_fan(n, tuple(h.v for h in hs))[1]:
+            # x = inverse @ (-lam_S), over the nonzero offsets only.
+            rhs = [(k, -hs[i].lam) for k, i in enumerate(subset) if hs[i].lam]
+            x = tuple(sum((row[k] * b for k, b in rhs), Fraction(0)) for row in inverse)
+            if x in found:
+                continue
+            values = [h.value(x) for h in hs]
+            if all(val >= 0 for val in values):
+                found[x] = tuple(j for j, val in enumerate(values) if val == 0)
+        return sorted(found.items())
 
     @staticmethod
-    def _recession_direction(n: int, hs: list[HalfSpace]) -> Point | None:
+    def _recession_direction(n: int, normals: Sequence[tuple[int, ...]]) -> Point | None:
         """A nonzero direction ``d`` with ``<d, v_i> >= 0`` for all i, if any.
 
         When the normals span a proper subspace, any kernel vector of the
@@ -223,28 +228,24 @@ class DelzantPolytope:
         cone lies on ``n - 1`` linearly independent active constraints, so
         checking the kernel direction of every such subset is exhaustive.
         """
-        normals = [list(h.v) for h in hs]
         kernel = mat_kernel(normals, n)
         if kernel is not None:
             return kernel
         if n == 1:
-            signs = {h.v[0] for h in hs}
+            signs = {v[0] for v in normals}
             if 1 not in signs:
                 return (Fraction(-1),)
             if -1 not in signs:
                 return (Fraction(1),)
             return None
-        for subset in itertools.combinations(range(len(hs)), n - 1):
-            rows = [list(hs[i].v) for i in subset]
-            if mat_rank(rows) != n - 1:
+        for subset in itertools.combinations(normals, n - 1):
+            if mat_rank(subset) != n - 1:
                 continue
-            d = mat_kernel(rows, n)
+            d = mat_kernel(subset, n)
             if d is None:
                 continue
             for cand in (d, tuple(-c for c in d)):
-                if all(
-                    sum(a * b for a, b in zip(cand, h.v)) >= 0 for h in hs
-                ):
+                if all(sum(a * b for a, b in zip(cand, v)) >= 0 for v in normals):
                     return cand
         return None
 
@@ -376,6 +377,18 @@ class DelzantPolytope:
     @classmethod
     def from_json_dict(cls, d: dict) -> "DelzantPolytope":
         return cls(d["n"], [HalfSpace.from_json_dict(h) for h in d["halfspaces"]])
+
+
+# At most 8 fans x MAX_VERTEX_SUBSETS inverses x n^2 rationals each are held;
+# verify-paper builds its polytopes from 6 fans.
+@functools.lru_cache(maxsize=8)
+def _normal_fan(n: int, normals: tuple[tuple[int, ...], ...]) -> tuple[bool, tuple]:
+    """Whether the normals bound every polytope they cut out, and each
+    non-singular ``n``-subset, in ``combinations`` order, with its inverse."""
+    bounded = DelzantPolytope._recession_direction(n, normals) is None
+    subsets = itertools.combinations(range(len(normals)), n)
+    inverses = ((s, mat_inverse([normals[i] for i in s])) for s in subsets)
+    return bounded, tuple((s, inv) for s, inv in inverses if inv is not None)
 
 
 def standard_blowup_polytope(n: int, b: RationalLike) -> DelzantPolytope:

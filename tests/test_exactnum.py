@@ -18,6 +18,7 @@ from toricfutaki.exactnum import (
     as_fraction,
     format_rational,
     mat_det,
+    mat_inverse,
     mat_kernel,
     mat_rank,
     mat_solve,
@@ -324,6 +325,23 @@ class TestRowReduction:
             assert x is None
         else:
             assert times(a, x) == b
+
+    @given(st.integers(0, 4).flatmap(lambda n: st.lists(
+        st.lists(st.one_of(MATRIX_ENTRIES, st.integers(-3, 3)), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    def test_inverse(self, a):
+        inv = mat_inverse(a)
+        if mat_det(a) == 0:
+            assert inv is None
+            return
+        columns = list(zip(*inv))
+        assert [times(a, col) for col in columns] == [
+            [int(i == j) for i in range(len(a))] for j in range(len(a))
+        ]
+
+    def test_inverse_requires_square(self):
+        with pytest.raises(ValueError):
+            mat_inverse([[1, 2, 3], [4, 5, 6]])
 
     @given(matrices(st.integers(0, 4), st.integers(1, 4)))
     def test_kernel_vector(self, m):

@@ -1,14 +1,18 @@
 """Half-space polytopes: vertex enumeration, validation, triangulation."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from toricfutaki import exactnum
+from toricfutaki.exactnum import mat_kernel, mat_rank, mat_solve
 from toricfutaki.polytope import (
     MAX_VERTEX_SUBSETS,
     DelzantPolytope,
     HalfSpace,
     Simplex,
+    _normal_fan,
     affine_rank,
     as_point,
     standard_blowup_polytope,
@@ -351,6 +355,174 @@ class TestIncidence:
             facet = tuple(v for v in verts if h.value(v) == 0)
             parts = [s.vertices for s in p.facet_triangulate(i, rule)]
             assert parts == _reference_pull(p, facet, p.n - 1, rule)
+
+
+def _reference_vertices(n, hs):
+    """Vertex enumeration by one exact solve per n-subset of half-spaces."""
+    verts = set()
+    for subset in itertools.combinations(range(len(hs)), n):
+        x = mat_solve([list(hs[i].v) for i in subset], [-hs[i].lam for i in subset])
+        if x is not None and all(h.value(x) >= 0 for h in hs):
+            verts.add(tuple(x))
+    return sorted(verts)
+
+
+def _reference_recession_direction(n, hs):
+    """Recession test over the half-spaces themselves, per polytope."""
+    normals = [list(h.v) for h in hs]
+    kernel = mat_kernel(normals, n)
+    if kernel is not None:
+        return kernel
+    if n == 1:
+        signs = {h.v[0] for h in hs}
+        if 1 not in signs:
+            return (F(-1),)
+        if -1 not in signs:
+            return (F(1),)
+        return None
+    for subset in itertools.combinations(range(len(hs)), n - 1):
+        rows = [list(hs[i].v) for i in subset]
+        if mat_rank(rows) != n - 1:
+            continue
+        d = mat_kernel(rows, n)
+        if d is None:
+            continue
+        for cand in (d, tuple(-c for c in d)):
+            if all(sum(a * b for a, b in zip(cand, h.v)) >= 0 for h in hs):
+                return cand
+    return None
+
+
+def _reference_construction(n, halfspaces):
+    """Vertices, kept half-spaces, facet vertex sets and the incidence table,
+    each computed from scratch for this one polytope, with the constructor's
+    checks in its order."""
+    hs = list(dict.fromkeys(halfspaces))
+    verts = _reference_vertices(n, hs)
+    if not verts:
+        raise ValueError("no vertices: the half-spaces cut out an empty or unbounded set")
+    if _reference_recession_direction(n, hs) is not None:
+        raise ValueError("polytope is unbounded (recession direction exists)")
+    if affine_rank(verts) != n:
+        raise ValueError("polytope is not full-dimensional")
+    kept, facet_verts = [], []
+    for h in hs:
+        on = tuple(v for v in verts if h.value(v) == 0)
+        if affine_rank(on) == n - 1:
+            kept.append(h)
+            facet_verts.append(on)
+    tight = {v: tuple(i for i, on in enumerate(facet_verts) if v in on) for v in verts}
+    return verts, tuple(kept), facet_verts, tight
+
+
+def _construction(n, halfspaces):
+    p = DelzantPolytope(n, halfspaces)
+    facets = [tuple(p.facet_vertices(i)) for i in range(p.num_facets)]
+    return p.vertices(), p.halfspaces, facets, p._tight
+
+
+def _slab(n, b):
+    return standard_blowup_polytope(n, b).halfspaces
+
+
+def _memo_cases():
+    # Slabs in an order that alternates fans, so that a polytope is built
+    # while another fan's entry sits in the memo.
+    slabs = [(3, F(2)), (5, F(7, 3)), (3, F(5, 2)), (1, F(3)), (6, F(3, 2)), (2, F(3)),
+             (1, F(5, 2)), (4, F(7, 3)), (6, F(2)), (2, F(7, 3)), (4, F(2)), (5, F(3, 2))]
+    cases = [(f"slab-{n}-{b}", n, _slab(n, b)) for n, b in slabs]
+    moved = standard_blowup_polytope(3, F(5, 2)).translate((2, F(-1, 3), 1))
+    cases.append(("translate", 3, moved.halfspaces))
+    det2 = [HalfSpace((1, 0), F(0)), HalfSpace((0, 1), F(0)), HalfSpace((-1, -2), F(2))]
+    cases.append(("det-2-corner", 2, det2))
+    cases.append(("octahedron", 3, octahedron().halfspaces))
+    cube = {"n": 3, "halfspaces": [{"v": [s * int(i == j) for j in range(3)], "lam": lam}
+                                   for i in range(3) for s, lam in ((1, 0), (-1, "2"))]}
+    cases.append(("cube-json", 3, DelzantPolytope.from_json_dict(cube).halfspaces))
+    box = unit_box(3).halfspaces
+    cases.append(("redundant", 3, [*box, HalfSpace((1, 1, 0), F(0))]))
+    # x >= 0 and x >= -1 share a normal; the second is no facet.
+    cases.append(("same-normal", 3, [*box, HalfSpace((1, 0, 0), F(1))]))
+    return cases
+
+
+MEMO_CASES = _memo_cases()
+
+# Each raises at a different check; the last two fail two checks each, and
+# the constructor reports the first in its order.
+INVALID_INPUTS = {
+    "empty": (2, [HalfSpace((1, 0), F(0)), HalfSpace((0, 1), F(0)),
+                  HalfSpace((-1, -1), F(-1))]),
+    "unbounded": (2, [HalfSpace((1, 0), F(0)), HalfSpace((0, 1), F(0))]),
+    "lower-dimensional": (2, [HalfSpace((1, 0), F(0)), HalfSpace((-1, 0), F(0)),
+                              HalfSpace((0, 1), F(0)), HalfSpace((0, -1), F(1))]),
+    "empty-and-unbounded": (2, [HalfSpace((1, 0), F(-1)), HalfSpace((-1, 0), F(0)),
+                                HalfSpace((0, 1), F(0))]),
+    "unbounded-and-flat": (2, [HalfSpace((1, 0), F(0)), HalfSpace((-1, 0), F(0)),
+                               HalfSpace((0, 1), F(0))]),
+}
+
+
+def _error(build, n, hs):
+    with pytest.raises(ValueError) as info:
+        build(n, hs)
+    return str(info.value)
+
+
+class TestNormalFanMemo:
+    """Construction shares what depends only on the normals across
+    polytopes; these pin it to the from-scratch pipeline."""
+
+    def test_matches_reference_in_either_order(self):
+        for order in (MEMO_CASES, MEMO_CASES[::-1]):
+            _normal_fan.cache_clear()
+            for name, n, hs in order:
+                assert _construction(n, hs) == _reference_construction(n, hs), name
+
+    def test_invalid_inputs_raise_the_reference_error(self):
+        expected = {
+            "empty": "no vertices", "unbounded": "unbounded",
+            "lower-dimensional": "not full-dimensional",
+            "empty-and-unbounded": "no vertices", "unbounded-and-flat": "unbounded",
+        }
+        for cold in (True, False):
+            for name, (n, hs) in INVALID_INPUTS.items():
+                if cold:
+                    _normal_fan.cache_clear()
+                message = _error(DelzantPolytope, n, hs)
+                assert message == _error(_reference_construction, n, hs), name
+                assert expected[name] in message, name
+
+    def test_memo_stays_bounded(self):
+        # Each order of the same half-spaces is its own fan key.
+        orders = list(itertools.permutations(_slab(2, F(3))))[:12]
+        _normal_fan.cache_clear()
+        for _ in range(2):
+            for hs in orders:
+                assert _construction(2, hs) == _reference_construction(2, hs)
+                assert _normal_fan.cache_info().currsize <= 8
+        assert _normal_fan.cache_info().misses == 24
+
+    def test_cold_construction_eliminates_no_more_than_from_scratch(self, monkeypatch):
+        calls = []
+        row_reduce = exactnum._row_reduce
+
+        def counting(a, ncols):
+            calls.append(ncols)
+            return row_reduce(a, ncols)
+
+        monkeypatch.setattr(exactnum, "_row_reduce", counting)
+
+        def count(build, n, hs):
+            calls.clear()
+            build(n, hs)
+            return len(calls)
+
+        for name, n, hs in MEMO_CASES:
+            _normal_fan.cache_clear()
+            cold = count(DelzantPolytope, n, hs)
+            assert cold <= count(_reference_construction, n, hs), name
+            assert count(DelzantPolytope, n, hs) < cold, name
 
 
 class TestTransforms:
