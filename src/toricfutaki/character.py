@@ -16,13 +16,12 @@ independent cross-check coming from ruled surfaces over a curve.
 
 The boundary term and the centring constants ``c_i`` depend only on the
 reference class ``(n, b)``; only the bulk term sees the second class
-``a``.  :func:`build_report` therefore reads the b-determined half (the
-volume, each ``c_i`` from one moment, each axis's boundary term) from a
-bounded memo keyed by ``(n, b)``, holding the last ``SLAB_CACHE_SIZE``
-reference classes, and computes only the bulk term per call.  The
-polytope-generic :func:`classical_futaki_axis`, :func:`bulk_axis` and
-:func:`~toricfutaki.integrate.c_constant` recompute everything and stay
-the oracle the checks and tests compare against.
+``a``.  :func:`build_report` therefore reads the b-determined half (each
+axis's ``c_i`` and boundary term) from a bounded memo keyed by ``(n, b)``,
+holding the last ``SLAB_CACHE_SIZE`` reference classes, and computes only
+the bulk term per call.  The polytope-generic
+:func:`classical_futaki_axis` and :func:`bulk_axis` recompute everything
+and stay the oracle the checks and tests compare against.
 """
 
 from __future__ import annotations
@@ -31,17 +30,10 @@ import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .exactnum import MultiPoly, RadialSum, RationalLike, as_fraction, format_rational
 from .family import FamilySpec, make_spec, minor_sum_radial
-from .integrate import (
-    c_constant,
-    integrate_poly,
-    integrate_poly_boundary,
-    integrate_radial,
-    volume,
-)
+from .integrate import c_constant, integrate_poly_boundary, integrate_radial
 from .polytope import DelzantPolytope, standard_blowup_polytope
 
 # Reference classes (n, b) whose b-determined terms are kept.  Each entry
@@ -108,29 +100,17 @@ def _bulk_term(spec: FamilySpec, minors: RadialSum, i: int, c: Fraction) -> Frac
     return val.q0
 
 
-class _SlabTerms(NamedTuple):
-    """What the reference class fixes: the centring constant ``c_i`` of
-    each axis and each axis's boundary term."""
-
-    centres: tuple[Fraction, ...]
-    boundary: tuple[Fraction, ...]
-
-
 @functools.lru_cache(maxsize=SLAB_CACHE_SIZE)
-def _slab_terms(n: int, b: Fraction) -> _SlabTerms:
-    """The b-determined terms of the model polytope ``P(n, b)``, memoized.
-
-    The volume is integrated once and each ``c_i`` needs one moment; the
-    boundary terms are the integrals :func:`classical_futaki_axis` takes.
-    """
+def _slab_terms(n: int, b: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
+    """Per axis, the b-determined ``(c_i, boundary term)`` of the model
+    polytope ``P(n, b)``, memoized: the constant :func:`c_constant` gives
+    and the integral :func:`classical_futaki_axis` takes."""
     P = standard_blowup_polytope(n, b)
-    vol = volume(P)
-    axes = [MultiPoly.variable(n, i) for i in range(n)]
-    centres = tuple(-integrate_poly(P, x) / vol for x in axes)
-    boundary = tuple(
-        integrate_poly_boundary(P, x + c) for x, c in zip(axes, centres)
+    centres = [c_constant(P, i) for i in range(n)]
+    return tuple(
+        (c, integrate_poly_boundary(P, MultiPoly.variable(n, i) + c))
+        for i, c in enumerate(centres)
     )
-    return _SlabTerms(centres, boundary)
 
 
 def _axis_terms(spec: FamilySpec) -> tuple[Fraction, Fraction]:
@@ -141,8 +121,8 @@ def _axis_terms(spec: FamilySpec) -> tuple[Fraction, Fraction]:
     """
     slab = _slab_terms(spec.n, spec.b)
     minors = minor_sum_radial(spec)
-    bk = [_bulk_term(spec, minors, i, c) for i, c in enumerate(slab.centres)]
-    bd = list(slab.boundary)
+    bk = [_bulk_term(spec, minors, i, c) for i, (c, _) in enumerate(slab)]
+    bd = [boundary for _, boundary in slab]
     if len(set(bd)) != 1 or len(set(bk)) != 1:
         raise InconsistencyError(
             f"axis symmetry broken: boundary terms {bd}, bulk terms {bk}"

@@ -14,8 +14,8 @@ classes cover the integrand types used downstream:
 
 A small exact linear-algebra kit over rational matrices lives here as
 well; the polytope, integrate and family modules share it.  Determinant,
-solve, inverse, rank and kernel vector all run one forward elimination
-(``_row_reduce``), followed where needed by back substitution.
+solve, inverse and rank all run one forward elimination (``_row_reduce``),
+followed where needed by back substitution.
 All values are immutable after construction.
 """
 
@@ -179,17 +179,6 @@ def mat_rank(rows: Sequence[Sequence[RationalLike]]) -> int:
     if any(len(row) != ncols for row in a):
         raise ValueError("ragged matrix")
     return len(_row_reduce(a, ncols)[0])
-
-
-def mat_kernel(rows: Sequence[Sequence[RationalLike]], n: int) -> tuple[Fraction, ...] | None:
-    """A nonzero solution of ``rows @ d = 0`` in ``n`` unknowns, or None at
-    full column rank: 1 at the first free column, 0 at the other free ones."""
-    a = _copy_matrix(rows)
-    pivots, _ = _row_reduce(a, n)
-    free = next((c for c in range(n) if c not in pivots), None)
-    if free is None:
-        return None
-    return tuple(_null_vector(a, pivots, free, n))
 
 
 # ---------------------------------------------------------------------------

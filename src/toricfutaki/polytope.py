@@ -2,10 +2,12 @@
 
 A polytope is given by inequalities ``l_i(x) = <x, v_i> + lam_i >= 0`` with
 primitive integer normals ``v_i`` and rational offsets ``lam_i``.
-Construction enumerates all vertices exactly, rejects unbounded or
-lower-dimensional input, prunes half-spaces whose tight set is not a facet,
-and stores the vertex-facet incidence; what depends only on the normals
-is built once per normal fan.  On top of that sit pulling triangulations
+Construction enumerates all vertices exactly from the inverse of each
+non-singular n-subset of normals, reads boundedness off the same inverses,
+rejects unbounded or lower-dimensional input, prunes half-spaces whose
+tight set is not a facet, and stores the vertex-facet incidence; the
+inverses and the boundedness verdict depend only on the normals and are
+built once per normal fan.  On top of that sit pulling triangulations
 (of the body and of each facet, with faces read from the stored
 incidence), the smooth-vertex test, and the one-parameter family of model
 polytopes used throughout: the simplex of size ``b`` truncated at the
@@ -27,16 +29,19 @@ from .exactnum import (
     format_rational,
     mat_det,
     mat_inverse,
-    mat_kernel,
     mat_rank,
     parse_rational,
 )
 
 Point = tuple[Fraction, ...]
 
-# Vertex enumeration tries every n-subset of half-spaces; this cap keeps a
-# malformed input from hanging the process.
-MAX_VERTEX_SUBSETS = 100_000
+# Vertex enumeration evaluates each of the m half-spaces at the candidate of
+# each n-subset, C(m, n) * m evaluations; this cap keeps a malformed input
+# from hanging the process.  An evaluation's cost, with its share of the
+# subset's inverse, grows with n: at the cap the slowest input measured over
+# n = 1..10 (13 random half-spaces at n = 9) took 8.3 s on a 2-core host
+# whose perfbench/speed.py factor read 1.3.  P(10, b) needs 792.
+MAX_VERTEX_EVALUATIONS = 10_000
 
 
 def as_point(x: Sequence[RationalLike], n: int) -> Point:
@@ -147,8 +152,8 @@ class DelzantPolytope:
     """Bounded full-dimensional polytope from validated half-space data.
 
     The constructor runs the whole pipeline: exact vertex enumeration over
-    all ``n``-subsets of half-spaces, a recession-direction test for
-    boundedness, a full-dimensionality check on the vertex set, and pruning
+    all ``n``-subsets of half-spaces, a boundedness test on the inverses of
+    those subsets, a full-dimensionality check on the vertex set, and pruning
     of half-spaces whose tight set has affine rank below ``n - 1``.  What
     depends only on the normals comes from :func:`_normal_fan`, and each
     (half-space, candidate vertex) pair is evaluated once, into the tight
@@ -161,18 +166,18 @@ class DelzantPolytope:
     def __init__(self, n: int, halfspaces: Iterable[HalfSpace]):
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError("ambient dimension must be a positive int")
-        hs: list[HalfSpace] = []
-        for h in halfspaces:
+        hs = list(halfspaces)
+        for h in hs:
             if not isinstance(h, HalfSpace):
                 raise TypeError("halfspaces must be HalfSpace instances")
             if h.n != n:
                 raise ValueError(f"half-space normal {h.v} has wrong dimension for n={n}")
-            if h not in hs:  # duplicates carry no information
-                hs.append(h)
-        if math.comb(len(hs), n) > MAX_VERTEX_SUBSETS:
+        hs = list(dict.fromkeys(hs))  # duplicates carry no information
+        if math.comb(len(hs), n) * len(hs) > MAX_VERTEX_EVALUATIONS:
             raise ValueError(
                 f"{len(hs)} half-spaces in dimension {n} exceed the "
-                f"vertex-enumeration budget of {MAX_VERTEX_SUBSETS} subsets"
+                f"vertex-enumeration budget of {MAX_VERTEX_EVALUATIONS} "
+                "(subset, half-space) evaluations"
             )
 
         found = self._enumerate_vertices(n, hs)
@@ -218,36 +223,6 @@ class DelzantPolytope:
             if all(val >= 0 for val in values):
                 found[x] = tuple(j for j, val in enumerate(values) if val == 0)
         return sorted(found.items())
-
-    @staticmethod
-    def _recession_direction(n: int, normals: Sequence[tuple[int, ...]]) -> Point | None:
-        """A nonzero direction ``d`` with ``<d, v_i> >= 0`` for all i, if any.
-
-        When the normals span a proper subspace, any kernel vector of the
-        normal matrix works.  Otherwise every extreme ray of the recession
-        cone lies on ``n - 1`` linearly independent active constraints, so
-        checking the kernel direction of every such subset is exhaustive.
-        """
-        kernel = mat_kernel(normals, n)
-        if kernel is not None:
-            return kernel
-        if n == 1:
-            signs = {v[0] for v in normals}
-            if 1 not in signs:
-                return (Fraction(-1),)
-            if -1 not in signs:
-                return (Fraction(1),)
-            return None
-        for subset in itertools.combinations(normals, n - 1):
-            if mat_rank(subset) != n - 1:
-                continue
-            d = mat_kernel(subset, n)
-            if d is None:
-                continue
-            for cand in (d, tuple(-c for c in d)):
-                if all(sum(a * b for a, b in zip(cand, v)) >= 0 for v in normals):
-                    return cand
-        return None
 
     # -- basic queries -------------------------------------------------------
 
@@ -379,16 +354,31 @@ class DelzantPolytope:
         return cls(d["n"], [HalfSpace.from_json_dict(h) for h in d["halfspaces"]])
 
 
-# At most 8 fans x MAX_VERTEX_SUBSETS inverses x n^2 rationals each are held;
-# verify-paper builds its polytopes from 6 fans.
+# At most 8 fans x MAX_VERTEX_EVALUATIONS / m inverses x n^2 rationals each
+# are held; verify-paper builds its polytopes from 6 fans.
 @functools.lru_cache(maxsize=8)
 def _normal_fan(n: int, normals: tuple[tuple[int, ...], ...]) -> tuple[bool, tuple]:
     """Whether the normals bound every polytope they cut out, and each
-    non-singular ``n``-subset, in ``combinations`` order, with its inverse."""
-    bounded = DelzantPolytope._recession_direction(n, normals) is None
+    non-singular ``n``-subset, in ``combinations`` order, with its inverse.
+
+    The verdict is read only when some vertex exists, so the normals span
+    and the recession cone ``{d : <d, v_i> >= 0}`` is pointed.  Each of its
+    extreme rays is tight on ``n - 1`` independent normals; one more makes
+    a non-singular subset ``S`` with ``V_S d >= 0`` a multiple of a unit
+    vector, so ``d`` is a positive multiple of a column of ``V_S^-1``.  The
+    normals are therefore unbounded exactly when some inverse column pairs
+    non-negatively with every normal.  Each column stops at its first
+    negative pairing: at worst n x m pairings per subset, the order of the
+    m half-space evaluations each candidate vertex gets, and once per fan.
+    """
     subsets = itertools.combinations(range(len(normals)), n)
     inverses = ((s, mat_inverse([normals[i] for i in s])) for s in subsets)
-    return bounded, tuple((s, inv) for s, inv in inverses if inv is not None)
+    fan = tuple((s, inv) for s, inv in inverses if inv is not None)
+    rays = (col for _, inv in fan for col in zip(*inv))
+    bounded = not any(
+        all(sum(d * c for d, c in zip(ray, v) if c) >= 0 for v in normals) for ray in rays
+    )
+    return bounded, fan
 
 
 def standard_blowup_polytope(n: int, b: RationalLike) -> DelzantPolytope:

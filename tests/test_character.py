@@ -264,9 +264,10 @@ class TestSlabMemo:
         P = standard_blowup_polytope(n, b)
         slab = _slab_terms(n, spec.b)
         bd, bk = _axis_terms(spec)
-        for i in range(n):
-            assert slab.centres[i] == c_constant(P, i)
-            assert slab.boundary[i] == classical_futaki_axis(P, i) == bd
+        assert len(slab) == n
+        for i, (c, boundary) in enumerate(slab):
+            assert c == c_constant(P, i)
+            assert boundary == classical_futaki_axis(P, i) == bd
             assert bulk_axis(spec, i, P) == bk
 
     def test_b_spelling_does_not_matter(self):

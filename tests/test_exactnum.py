@@ -19,7 +19,6 @@ from toricfutaki.exactnum import (
     format_rational,
     mat_det,
     mat_inverse,
-    mat_kernel,
     mat_rank,
     mat_solve,
     parse_rational,
@@ -342,17 +341,3 @@ class TestRowReduction:
     def test_inverse_requires_square(self):
         with pytest.raises(ValueError):
             mat_inverse([[1, 2, 3], [4, 5, 6]])
-
-    @given(matrices(st.integers(0, 4), st.integers(1, 4)))
-    def test_kernel_vector(self, m):
-        rows, n = m
-        d = mat_kernel(rows, n)
-        if mat_rank(rows) == n:
-            assert d is None
-            return
-        assert any(d) and times(rows, d) == [0] * len(rows)
-        # The first free column j is the first column that depends on the
-        # ones before it; d is 1 there and 0 after it, which fixes d.
-        prefix_rank = [mat_rank([row[:k] for row in rows]) for k in range(n + 1)]
-        j = next(k for k in range(n) if prefix_rank[k + 1] == prefix_rank[k])
-        assert d[j] == 1 and all(v == 0 for v in d[j + 1:])

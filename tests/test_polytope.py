@@ -1,14 +1,14 @@
 """Half-space polytopes: vertex enumeration, validation, triangulation."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
-from toricfutaki import exactnum
-from toricfutaki.exactnum import mat_kernel, mat_rank, mat_solve
+from toricfutaki import exactnum, polytope
+from toricfutaki.exactnum import mat_rank, mat_solve
 from toricfutaki.polytope import (
-    MAX_VERTEX_SUBSETS,
     DelzantPolytope,
     HalfSpace,
     Simplex,
@@ -168,6 +168,29 @@ class TestConstruction:
             hs.append(HalfSpace(v, Fraction(3)))
         with pytest.raises(ValueError, match="budget"):
             DelzantPolytope(10, hs)
+
+    @pytest.mark.parametrize("n, m", [(2, 200), (1, 2000), (1, 8000)])
+    def test_budget_refuses_before_enumeration(self, monkeypatch, n, m):
+        # Each of these once ran for half a minute or more: the budget
+        # counts C(m, n) * m evaluations, not only the C(m, n) subsets.
+        def normal_fan(n, normals):
+            raise AssertionError("vertex enumeration started")
+
+        monkeypatch.setattr(polytope, "_normal_fan", normal_fan)
+        hs = [HalfSpace((1,) + (k,) * (n - 1), F(k)) for k in range(m)]
+        with pytest.raises(ValueError, match=f"{m} half-spaces in dimension {n} exceed"):
+            DelzantPolytope(n, hs)
+
+    def test_budget_boundary(self, monkeypatch):
+        # P(3, 2) has 5 half-spaces: C(5, 3) * 5 = 50 evaluations, counted
+        # after duplicates are dropped.
+        p = standard_blowup_polytope(3, 2)
+        hs = list(p.halfspaces)
+        monkeypatch.setattr(polytope, "MAX_VERTEX_EVALUATIONS", 50)
+        assert DelzantPolytope(3, hs + hs) == p
+        monkeypatch.setattr(polytope, "MAX_VERTEX_EVALUATIONS", 49)
+        with pytest.raises(ValueError, match="budget of 49"):
+            DelzantPolytope(3, hs)
 
     def test_dimension_validation(self):
         with pytest.raises(ValueError):
@@ -367,6 +390,19 @@ def _reference_vertices(n, hs):
     return sorted(verts)
 
 
+def mat_kernel(rows, n):
+    """A nonzero solution of ``rows @ d = 0`` in ``n`` unknowns, or None at
+    full column rank: 1 at the first free column, 0 at the other free ones.
+    It eliminates through the ``exactnum`` module, so that elimination
+    counts see it."""
+    a = [[Fraction(c) for c in row] for row in rows]
+    pivots, _ = exactnum._row_reduce(a, n)
+    free = next((c for c in range(n) if c not in pivots), None)
+    if free is None:
+        return None
+    return tuple(exactnum._null_vector(a, pivots, free, n))
+
+
 def _reference_recession_direction(n, hs):
     """Recession test over the half-spaces themselves, per polytope."""
     normals = [list(h.v) for h in hs]
@@ -523,6 +559,39 @@ class TestNormalFanMemo:
             cold = count(DelzantPolytope, n, hs)
             assert cold <= count(_reference_construction, n, hs), name
             assert count(DelzantPolytope, n, hs) < cold, name
+
+
+def _random_halfspaces(rng, n):
+    """Distinct half-spaces ``<x, v> + 1 >= 0`` whose primitive normals,
+    with entries in [-1, 1], span: the origin is interior, so the set they
+    cut out is never empty or flat."""
+    while True:
+        hs = []
+        for _ in range(rng.randint(n + 1, n + 4)):
+            v = tuple(rng.randint(-1, 1) for _ in range(n))
+            if any(v):
+                hs.append(HalfSpace(v, F(1)))
+        hs = list(dict.fromkeys(hs))
+        if hs and mat_rank([h.v for h in hs]) == n:
+            return hs
+
+
+class TestBoundedness:
+    def test_fan_verdict_matches_recession_search(self):
+        rng = random.Random(20261019)
+        verdicts = []
+        for n in (1, 2, 3, 4):
+            for _ in range(50):
+                hs = _random_halfspaces(rng, n)
+                bounded = _reference_recession_direction(n, hs) is None
+                assert _normal_fan(n, tuple(h.v for h in hs))[0] == bounded, hs
+                if bounded:
+                    assert DelzantPolytope(n, hs).vertices()
+                else:
+                    with pytest.raises(ValueError, match="unbounded"):
+                        DelzantPolytope(n, hs)
+                verdicts.append((n, bounded))
+        assert set(verdicts) == set(itertools.product((1, 2, 3, 4), (True, False)))
 
 
 class TestTransforms:
