@@ -61,6 +61,7 @@ from .integrate import (
     integrate_radial,
     integrate_radial_slab,
     mc_integrate,
+    mc_integrate_many,
     volume,
 )
 from .polytope import (
@@ -111,6 +112,7 @@ __all__ = [
     "kf_ruled_ratio",
     "make_spec",
     "mc_integrate",
+    "mc_integrate_many",
     "minor_sum",
     "minor_sum_radial",
     "parse_poly",

@@ -20,8 +20,11 @@ stream is indexed by sample position, and it reduces fixed blocks of
 sample indices, each a pure function of the seed and its start.  Two
 worker threads share the blocks (numpy draws without holding the GIL), and
 each works through a block in smaller chunks, so the estimate is fixed bit
-for bit and memory is one block per worker.  The integrand is called per
-chunk from the workers, so it must be row-wise and keep no state.
+for bit.  One pass can serve several integrands: each chunk is drawn and
+tested once, every integrand sees the same read-only points and fills its
+own block of values, and memory is one block per integrand per worker.
+The integrands are called per chunk from the workers, so they must be
+row-wise and keep no state.
 """
 
 from __future__ import annotations
@@ -293,6 +296,21 @@ def mc_integrate(
 ) -> MCResult:
     """Monte Carlo integral of ``f`` over the polytope body.
 
+    The one-integrand case of :func:`mc_integrate_many`, which describes
+    the sampler; the result is the same bit for bit.
+    """
+    return mc_integrate_many(P, (f,), samples, seed)[0]
+
+
+def mc_integrate_many(
+    P: DelzantPolytope,
+    fs: Sequence[Callable[[np.ndarray], np.ndarray]],
+    samples: int,
+    seed: int,
+) -> tuple[MCResult, ...]:
+    """Monte Carlo integrals of every integrand in ``fs`` over the polytope
+    body, from one pass over the sample stream.
+
     Rejection-samples the exact bounding box with a Philox counter-based
     generator.  Each sample index owns a fixed block of ``ceil(n/4)``
     counter steps (Philox emits four 64-bit words per step), so the stream
@@ -302,20 +320,28 @@ def mc_integrate(
 
     Samples are reduced in blocks of ``MC_BLOCK`` sample indices.  A block
     is a pure function of ``(seed, start)``: its own generator, advanced to
-    the block's first counter, fills a reused block-long value buffer
-    ``MC_CHUNK`` samples at a time, and ``np.sum`` gives the block's sum and
+    the block's first counter, draws and tests ``MC_CHUNK`` samples at a
+    time, and every integrand fills its own reused block-long value buffer
+    from the same accepted points.  ``np.sum`` gives each buffer's sum and
     sum of squares.  (Not ``np.dot``: BLAS may split a long dot product by
     thread count.)  ``min(MC_WORKERS, blocks)`` threads, in a pool that
     ends with the call, take the blocks in turn; ``math.fsum`` combines the
-    block sums in block order.  So a seed and a sample count fix the result
-    bit for bit whatever the worker count, and memory is one block per
-    worker whatever ``samples`` is.
+    block sums in block order.  So a seed and a sample count fix each
+    result bit for bit whatever the worker count and whatever the other
+    integrands are: result ``k`` equals ``mc_integrate(P, fs[k], samples,
+    seed)``.  Memory is one block per integrand per worker whatever
+    ``samples`` is.
 
-    ``f`` is called only on accepted points, one chunk at a time, from the
-    worker threads.  It must map an ``(m, n)`` float array to ``m`` values,
-    each depending on its own row only, and it must keep no state between
-    calls.  An exception it raises reaches the caller.
+    Each ``f`` is called only on accepted points, one chunk at a time, from
+    the worker threads.  It must map an ``(m, n)`` float array to ``m``
+    values, each depending on its own row only, and it must keep no state
+    between calls.  The points are read-only, because every integrand sees
+    the same array; writing to them raises.  An exception an integrand
+    raises reaches the caller.
     """
+    fs = tuple(fs)
+    if not fs:
+        raise ValueError("need at least one integrand")
     if samples < 1:
         raise ValueError("need at least one sample")
     if samples > MAX_MC_SAMPLES:
@@ -348,9 +374,10 @@ def mc_integrate(
     workers = min(MC_WORKERS, len(starts))
 
     def reduce_block(
-        start: int, y: np.ndarray, draws: np.ndarray, coords: np.ndarray
-    ) -> tuple[float, float, int]:
-        """Sum, sum of squares and hits of the block that starts at ``start``."""
+        start: int, ys: list[np.ndarray], draws: np.ndarray, coords: np.ndarray
+    ) -> tuple[list[tuple[float, float]], int]:
+        """Each integrand's sum and sum of squares, and the hits, of the
+        block that starts at ``start``."""
         count = min(block, samples - start)
         bitgen = np.random.Philox(key=seed)
         bitgen.advance(start * blocks_per_sample)
@@ -369,24 +396,31 @@ def mc_integrate(
                 value += offset
                 inside &= value >= 0.0
             k = int(np.count_nonzero(inside))
-            filled = y[at : at + m]
-            filled.fill(0.0)
+            for y in ys:
+                y[at : at + m].fill(0.0)
             if k:
-                vals = np.asarray(f(np.ascontiguousarray(x[:, inside].T)), dtype=float)
-                if vals.shape != (k,):
-                    raise ValueError("integrand must return one value per input point")
-                filled[inside] = vals
+                points = np.ascontiguousarray(x[:, inside].T)
+                points.flags.writeable = False
+                for f, y in zip(fs, ys):
+                    vals = np.asarray(f(points), dtype=float)
+                    if vals.shape != (k,):
+                        raise ValueError("integrand must return one value per input point")
+                    y[at : at + m][inside] = vals
             hits += k
-        filled = y[:count]
-        return float(filled.sum()), float((filled * filled).sum()), hits
+        sums = []
+        for y in ys:
+            filled = y[:count]
+            sums.append((float(filled.sum()), float((filled * filled).sum())))
+        return sums, hits
 
     failed: list[int] = []  # workers that raised; the others stop at their next block
 
-    def reduce_blocks(first: int) -> list[tuple[float, float, int]]:
+    def reduce_blocks(first: int) -> list[tuple[list[tuple[float, float]], int]]:
         """Blocks ``first``, ``first + workers``, ... in turn, with one set of buffers."""
-        # Reused buffers: one block of values, one chunk of draws, and one
-        # chunk of points stored axis by axis, so an accept test reads rows.
-        y = np.empty(block)
+        # Reused buffers: one block of values per integrand, one chunk of
+        # draws, and one chunk of points stored axis by axis, so an accept
+        # test reads rows.
+        ys = [np.empty(block) for _ in fs]
         draws = np.empty((chunk, draws_per_sample))
         coords = np.empty((n, chunk))
         out = []
@@ -394,7 +428,7 @@ def mc_integrate(
             for start in starts[first::workers]:
                 if failed:
                     break
-                out.append(reduce_block(start, y, draws, coords))
+                out.append(reduce_block(start, ys, draws, coords))
         except BaseException:
             failed.append(first)
             raise
@@ -404,11 +438,14 @@ def mc_integrate(
         per_worker = list(pool.map(reduce_blocks, range(workers)))
     # Block i was reduced by worker i % workers, as its (i // workers)-th block.
     totals = [per_worker[i % workers][i // workers] for i in range(len(starts))]
-    accepted = sum(hits for _, _, hits in totals)
+    accepted = sum(hits for _, hits in totals)
     if accepted == 0:
         raise ValueError("no sample hit the polytope; bounding box sampling failed")
-    mean = math.fsum(s for s, _, _ in totals) / samples
-    var = max(math.fsum(q for _, q, _ in totals) / samples - mean * mean, 0.0)
-    estimate = box_vol * mean
-    stderr = box_vol * math.sqrt(var / samples)
-    return MCResult(estimate, stderr, samples, accepted, seed)
+    results = []
+    for k in range(len(fs)):
+        mean = math.fsum(sums[k][0] for sums, _ in totals) / samples
+        var = max(math.fsum(sums[k][1] for sums, _ in totals) / samples - mean * mean, 0.0)
+        results.append(
+            MCResult(box_vol * mean, box_vol * math.sqrt(var / samples), samples, accepted, seed)
+        )
+    return tuple(results)

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import toricfutaki
 from toricfutaki import cli, verify
 from toricfutaki.character import SLAB_CACHE_SIZE, _slab_terms
-from toricfutaki.polytope import DelzantPolytope, HalfSpace
+from toricfutaki.polytope import DelzantPolytope, HalfSpace, standard_blowup_polytope
 from toricfutaki.verify import CheckResult, run_checks
 
 
@@ -322,6 +323,23 @@ class TestVerifyPaper:
         with pytest.raises(ValueError, match=rf"below 2\*\*128 - 1 .*, got {seed}$"):
             run_checks(["determinism"], seed=seed)
 
+    def test_random_interior_point_matches_fraction_arithmetic(self):
+        def reference(rng, n, b):
+            weights = [Fraction(rng.randint(1, 999)) for _ in range(n)]
+            total = sum(weights)
+            X = 1 + Fraction(rng.randint(1, 999), 1000) * (b - 1)
+            return tuple(X * w / total for w in weights)
+
+        for b in (Fraction(5, 2), Fraction(3), Fraction(7, 3)):
+            ours, theirs = Random(11), Random(11)
+            for n in range(1, 7):
+                for _ in range(50):
+                    x = verify._random_interior_point(ours, n, b)
+                    assert x == reference(theirs, n, b)
+                    assert all(type(c) is Fraction for c in x)
+                    assert all(c > 0 for c in x) and 1 < sum(x) < b
+            assert ours.random() == theirs.random()
+
     def test_failure_exits_three(self, capsys, monkeypatch):
         fake = [CheckResult(name="n2-ratio", passed=False, anchor="x", detail="boom")]
         monkeypatch.setattr(cli, "run_checks", lambda names, seed: fake)
@@ -530,6 +548,48 @@ class TestIntegrate:
                          "--radial-power", "-2")
         assert rc == 0
         assert "exact = 0 + 1*log(3)" in out
+
+    @pytest.mark.parametrize("mode", [(), ("--boundary",)])
+    def test_expansion_budget_refuses_before_integrating(self, capsys, monkeypatch,
+                                                         tmp_path, mode):
+        # x1^40 on the three simplices of a translate of P(3, 2) ran for
+        # more than a minute; its boundary has eight.
+        moved = standard_blowup_polytope(3, 2).translate([1, 1, 1])
+        path = tmp_path / "moved.json"
+        path.write_text(json.dumps(moved.to_json_dict()))
+
+        def fail(*args):
+            raise AssertionError("no integral may run")
+
+        for name in ("integrate_poly", "integrate_poly_facet", "integrate_poly_boundary"):
+            monkeypatch.setattr(cli, name, fail)
+        rc, out, err = run(capsys, "integrate", "--file", str(path), "--poly", "x1^40", *mode)
+        assert (rc, out) == (1, "")
+        assert f"over the budget of {cli.MAX_EXPANSION_TERMS}" in err
+
+    @pytest.mark.parametrize("mode, simplices, size, exact", [
+        ((), 2, 18, "11"),  # 2 triangles x (C(4, 2) + C(3, 2))
+        (("--facet", "0"), 1, 5, "4"),  # 1 segment x (C(3, 1) + C(2, 1))
+        (("--boundary",), 4, 20, "27"),  # 4 segments x (C(3, 1) + C(2, 1))
+    ])
+    def test_expansion_budget_boundary(self, capsys, monkeypatch, mode, simplices, size,
+                                       exact):
+        argv = ("integrate", "--standard", "2,3", "--poly", "x1^2 + x2", *mode)
+        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", size)
+        assert run_json(capsys, *argv, "--json")["exact"] == exact
+        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", size - 1)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == (
+            f"error: integrand of degree 2 expands to {size} monomials over "
+            f"{simplices} simplices, over the budget of {size - 1}\n"
+        )
+
+    def test_radial_power_expands_nothing(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", 0)
+        doc = run_json(capsys, "integrate", "--standard", "2,3", "--poly", "x1^64",
+                       "--radial-power", "-2", "--json")
+        assert doc["log_coeff"] == "0"
 
 
 class TestKfCheck:

@@ -23,6 +23,7 @@ from toricfutaki.integrate import (
     integrate_radial,
     integrate_radial_slab,
     mc_integrate,
+    mc_integrate_many,
     monomial_simplex_integral,
     sigma_simplex_measure,
     slab_bounds,
@@ -439,3 +440,79 @@ class TestMonteCarlo:
         r = MCResult(estimate=4.0, stderr=0.0, samples=1, accepted=1, seed=0)
         assert r.agrees_with(4.0)
         assert not r.agrees_with(4.1)
+
+
+def _three_integrands(n):
+    x1 = MultiPoly.variable(n, 0)
+    return [MultiPoly.constant(n, 1).eval_array, x1.eval_array,
+            RadialSum.from_poly(x1, -2 * n).eval_array]
+
+
+class TestMonteCarloMany:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("n, b, samples, seed", [(c[0], c[1], c[3], c[4]) for c in _PINNED])
+    def test_each_result_equals_a_separate_call(self, monkeypatch, workers, n, b, samples, seed):
+        monkeypatch.setattr(integrate, "MC_WORKERS", workers)
+        P = standard_blowup_polytope(n, b)
+        fs = _three_integrands(n)
+        many = mc_integrate_many(P, fs, samples=samples, seed=seed)
+        assert many == tuple(mc_integrate(P, f, samples=samples, seed=seed) for f in fs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_small_blocks_equal_separate_calls_and_the_reference(self, monkeypatch, workers):
+        # Each block of 7 spans chunks of 3, 3 and 1; the last block is 3.
+        monkeypatch.setattr(integrate, "MC_BLOCK", 7)
+        monkeypatch.setattr(integrate, "MC_CHUNK", 3)
+        monkeypatch.setattr(integrate, "MC_WORKERS", workers)
+        P = standard_blowup_polytope(2, 3)
+        # Values spanning 30 decades, so another grouping of the sums shows.
+        fs = [*_three_integrands(2), lambda a: 10.0 ** (10 * a[:, 0])]
+        samples = 7 * 50 + 3
+        many = mc_integrate_many(P, fs, samples=samples, seed=3)
+        assert many == tuple(mc_integrate(P, f, samples=samples, seed=3) for f in fs)
+        assert many == tuple(_reference_mc(P, f, samples, 3, block=7) for f in fs)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("bad_first", [True, False])
+    def test_integrand_errors_reach_the_caller(self, monkeypatch, workers, bad_first):
+        monkeypatch.setattr(integrate, "MC_WORKERS", workers)
+        p = standard_blowup_polytope(3, 2)
+        good = MultiPoly.variable(3, 0).eval_array
+        calls = []
+
+        def fails_late(a):
+            calls.append(len(a))
+            if len(calls) == 6:
+                raise ValueError("integrand failed")
+            return a[:, 0]
+
+        def order(bad):
+            return (bad, good) if bad_first else (good, bad)
+
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="integrand failed"):
+            mc_integrate_many(p, order(fails_late), samples=40 * MC_BLOCK, seed=1)
+        assert len(calls) <= 6 + 2 * (MC_BLOCK // integrate.MC_CHUNK)
+        for wrong in (lambda a: a, lambda a: a[:-1, 0]):
+            with pytest.raises(ValueError, match="one value per input point"):
+                mc_integrate_many(p, order(wrong), samples=4 * MC_BLOCK, seed=1)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("writer_first", [True, False])
+    def test_points_are_read_only(self, writer_first):
+        p = standard_blowup_polytope(2, 3)
+
+        def writes(a):
+            a[:, 0] = 0.0
+            return a[:, 0]
+
+        good = MultiPoly.variable(2, 0).eval_array
+        fs = (writes, good) if writer_first else (good, writes)
+        with pytest.raises(ValueError, match="read-only"):
+            mc_integrate_many(p, fs, samples=1000, seed=1)
+        with pytest.raises(ValueError, match="read-only"):
+            mc_integrate(p, writes, samples=1000, seed=1)
+
+    def test_no_integrand_refused(self):
+        with pytest.raises(ValueError, match="at least one integrand"):
+            mc_integrate_many(standard_blowup_polytope(2, 3), [], samples=10, seed=1)
