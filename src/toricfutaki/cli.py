@@ -36,7 +36,7 @@ from .character import (
     required_ratio,  # noqa: F401  perfbench/tracer.py wraps cli.required_ratio by name
     two_parameter_ratio,
 )
-from .exactnum import LogLinear, MultiPoly, RadialSum, format_rational, parse_rational
+from .exactnum import LogLinear, RadialSum, format_rational, parse_rational
 from .exprparse import parse_poly
 from .family import UnsolvableClassError, _check_dim, make_spec, transition_map
 from .integrate import (
@@ -359,25 +359,6 @@ def cmd_family(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # integrate
 
-# Exact integration expands each term x^alpha of the integrand into up to
-# C(|alpha| + d, d) barycentric monomials on every d-simplex it integrates
-# over; this caps that expansion, summed over terms and simplices.  The
-# cost of a monomial grows with the degree too: at the cap the slowest
-# input measured (x1^32*x2^32, 4290 monomials over the two triangles of a
-# translate of P(2, 2)) took 7.9 s on a 2-core host whose
-# perfbench/speed.py factor read 2.0.  Radial slab integrals expand nothing.
-MAX_EXPANSION_TERMS = 5_000
-
-
-def _check_expansion_budget(poly: MultiPoly, d: int, simplices: int) -> None:
-    size = simplices * sum(math.comb(sum(alpha) + d, d) for alpha, _ in poly)
-    if size > MAX_EXPANSION_TERMS:
-        raise ValueError(
-            f"integrand of degree {poly.total_degree} expands to {size} monomials "
-            f"over {simplices} simplices, over the budget of {MAX_EXPANSION_TERMS}"
-        )
-
-
 def cmd_integrate(args: argparse.Namespace) -> int:
     P = _load_polytope(args)
     poly = parse_poly(args.poly, P.n)
@@ -388,12 +369,9 @@ def cmd_integrate(args: argparse.Namespace) -> int:
     log_coeff = Fraction(0)
     log_base: Fraction | None = None
     if args.facet is not None:
-        _check_expansion_budget(poly, P.n - 1, len(P.facet_triangulate(args.facet)))
         value = integrate_poly_facet(P, args.facet, poly)
         domain = f"facet {args.facet}"
     elif args.boundary:
-        facet_simplices = sum(len(P.facet_triangulate(i)) for i in range(P.num_facets))
-        _check_expansion_budget(poly, P.n - 1, facet_simplices)
         value = integrate_poly_boundary(P, poly)
         domain = "boundary"
     elif args.radial_power is not None:
@@ -408,7 +386,6 @@ def cmd_integrate(args: argparse.Namespace) -> int:
         value, log_coeff, log_base = res.q0, res.q1, hi / lo
         domain = f"body, integrand multiplied by X^{args.radial_power}"
     else:
-        _check_expansion_budget(poly, P.n, len(P.triangulate()))
         value = integrate_poly(P, poly)
         domain = "body"
 

@@ -37,6 +37,13 @@ RationalLike = Union[int, str, Fraction]
 # and the exact Dirichlet moments below assume small multi-indices.
 MAX_TOTAL_DEGREE = 64
 
+# Cap on the coefficient bits a parsed power may build, estimated before
+# it is computed (3^4000000000 ran past 90 s).  Exact integration slows
+# with coefficient size: the body integral of (c1*x1 + c2*x2 + c3)^8 over
+# P(2, 3) took 0.7 s with 2048-bit c's (at the cap) and 8.3 s with
+# 8192-bit ones, on a 2-core host whose perfbench/speed.py factor read 1.5.
+MAX_COEFFICIENT_BITS = 16_384
+
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 

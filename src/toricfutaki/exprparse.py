@@ -9,15 +9,17 @@ Grammar (whitespace-insensitive)::
 
 Variables are ``x1 .. xn`` (1-based).  Division requires a nonzero
 constant divisor, so ``x1/3`` and ``(1/3)*x2^2`` parse but ``1/x1`` does
-not.  Exponents must be non-negative integer literals.  The result is an
-exact :class:`MultiPoly`; floats are a syntax error by construction.
+not.  Exponents must be non-negative integer literals, and a power is
+refused before it is computed if ``e`` times the largest bit size in its
+base exceeds ``MAX_COEFFICIENT_BITS``.  The result is an exact
+:class:`MultiPoly`; floats are a syntax error by construction.
 """
 
 from __future__ import annotations
 
 import re
 
-from .exactnum import MultiPoly
+from .exactnum import MAX_COEFFICIENT_BITS, MultiPoly
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<pow>\*\*|\^)|(?P<op>[+\-*/()]))"
@@ -101,7 +103,13 @@ class _Parser:
             exp_tok = self.take()
             if not exp_tok.isdigit():
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
-            return base ** int(exp_tok)
+            e = int(exp_tok)
+            bits = e * max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                            for _, c in base), default=0)
+            if bits > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"power ^{e} could give coefficients of {bits} bits, "
+                                     f"over the cap of {MAX_COEFFICIENT_BITS}")
+            return base ** e
         return base
 
     def atom(self) -> MultiPoly:

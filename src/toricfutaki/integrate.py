@@ -127,14 +127,46 @@ def sigma_simplex_measure(
 # ---------------------------------------------------------------------------
 # Polytope-level exact integrals.
 
+# Exact integration expands each term x^alpha of the integrand into up to
+# C(|alpha| + d, d) barycentric monomials on every d-simplex it integrates
+# over; this caps that expansion, summed over terms and simplices.  The
+# cost of a monomial grows with the degree too: at the cap the slowest
+# input measured (x1^32*x2^32, 4290 monomials over the two triangles of a
+# translate of P(2, 2)) took 7.9 s on a 2-core host whose
+# perfbench/speed.py factor read 2.0.  Radial slab integrals expand nothing.
+MAX_EXPANSION_TERMS = 5_000
+
+
+def _integrate_parts(parts: Sequence[tuple[Simplex, Fraction]], q: MultiPoly) -> Fraction:
+    """Sum of the integrals of ``q`` over ``(simplex, measure)`` pairs of one
+    dimension, refused before any is computed if its barycentric expansion
+    exceeds ``MAX_EXPANSION_TERMS``."""
+    d = parts[0][0].dim
+    size = len(parts) * sum(math.comb(sum(alpha) + d, d) for alpha, _ in q)
+    if size > MAX_EXPANSION_TERMS:
+        raise ValueError(
+            f"integrand of degree {q.total_degree} expands to {size} monomials "
+            f"over {len(parts)} simplices, over the budget of {MAX_EXPANSION_TERMS}"
+        )
+    return sum((monomial_simplex_integral(s, q, m) for s, m in parts), Fraction(0))
+
+
+def _facet_parts(
+    P: DelzantPolytope, i: int, transversal: Sequence[int] | None = None
+) -> list[tuple[Simplex, Fraction]]:
+    simplices = P.facet_triangulate(i)
+    normal = P.halfspaces[i].v
+    if transversal is None:
+        # The first coordinate axis the normal sees.
+        j = next(k for k, c in enumerate(normal) if c != 0)
+        transversal = tuple(1 if k == j else 0 for k in range(P.n))
+    return [(s, sigma_simplex_measure(s, normal, transversal)) for s in simplices]
+
 
 def integrate_poly(P: DelzantPolytope, p: MultiPoly | RationalLike) -> Fraction:
     """Exact Lebesgue integral of a polynomial over the polytope body."""
     q = _as_poly(P.n, p)
-    total = Fraction(0)
-    for s in P.triangulate():
-        total += monomial_simplex_integral(s, q, s.volume())
-    return total
+    return _integrate_parts([(s, s.volume()) for s in P.triangulate()], q)
 
 
 def volume(P: DelzantPolytope) -> Fraction:
@@ -153,17 +185,7 @@ def integrate_poly_facet(
     determinant; the result is independent of that choice.
     """
     q = _as_poly(P.n, p)
-    simplices = P.facet_triangulate(i)
-    normal = P.halfspaces[i].v
-    if transversal is None:
-        # The first coordinate axis the normal sees.
-        j = next(k for k, c in enumerate(normal) if c != 0)
-        transversal = tuple(1 if k == j else 0 for k in range(P.n))
-    total = Fraction(0)
-    for s in simplices:
-        measure = sigma_simplex_measure(s, normal, transversal)
-        total += monomial_simplex_integral(s, q, measure)
-    return total
+    return _integrate_parts(_facet_parts(P, i, transversal), q)
 
 
 def facet_sigma(P: DelzantPolytope, i: int) -> Fraction:
@@ -173,20 +195,19 @@ def facet_sigma(P: DelzantPolytope, i: int) -> Fraction:
 def integrate_poly_boundary(
     P: DelzantPolytope, p: MultiPoly | RationalLike
 ) -> Fraction:
-    """Integral of a polynomial over the whole boundary against ``d(sigma)``."""
+    """Integral of a polynomial over the whole boundary against ``d(sigma)``,
+    under one expansion budget for the simplices of every facet."""
     q = _as_poly(P.n, p)
-    return sum(
-        (integrate_poly_facet(P, i, q) for i in range(P.num_facets)), Fraction(0)
-    )
+    parts = [part for i in range(P.num_facets) for part in _facet_parts(P, i)]
+    return _integrate_parts(parts, q)
 
 
 def c_constant(P: DelzantPolytope, i: int) -> Fraction:
     """The constant ``c`` making ``integral of (x_i + c) over P`` vanish."""
     if not 0 <= i < P.n:
         raise ValueError(f"coordinate index {i} out of range for n={P.n}")
-    x_i = MultiPoly.variable(P.n, i)
     parts = [(s, s.volume()) for s in P.triangulate()]
-    moment = sum(monomial_simplex_integral(s, x_i, vol) for s, vol in parts)
+    moment = _integrate_parts(parts, MultiPoly.variable(P.n, i))
     return -moment / sum(vol for _, vol in parts)
 
 

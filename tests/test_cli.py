@@ -12,7 +12,7 @@ from random import Random
 import pytest
 
 import toricfutaki
-from toricfutaki import cli, verify
+from toricfutaki import cli, integrate, verify
 from toricfutaki.character import SLAB_CACHE_SIZE, _slab_terms
 from toricfutaki.polytope import DelzantPolytope, HalfSpace, standard_blowup_polytope
 from toricfutaki.verify import CheckResult, run_checks
@@ -559,13 +559,12 @@ class TestIntegrate:
         path.write_text(json.dumps(moved.to_json_dict()))
 
         def fail(*args):
-            raise AssertionError("no integral may run")
+            raise AssertionError("no moment may be computed")
 
-        for name in ("integrate_poly", "integrate_poly_facet", "integrate_poly_boundary"):
-            monkeypatch.setattr(cli, name, fail)
+        monkeypatch.setattr(integrate, "monomial_simplex_integral", fail)
         rc, out, err = run(capsys, "integrate", "--file", str(path), "--poly", "x1^40", *mode)
         assert (rc, out) == (1, "")
-        assert f"over the budget of {cli.MAX_EXPANSION_TERMS}" in err
+        assert f"over the budget of {integrate.MAX_EXPANSION_TERMS}" in err
 
     @pytest.mark.parametrize("mode, simplices, size, exact", [
         ((), 2, 18, "11"),  # 2 triangles x (C(4, 2) + C(3, 2))
@@ -575,9 +574,9 @@ class TestIntegrate:
     def test_expansion_budget_boundary(self, capsys, monkeypatch, mode, simplices, size,
                                        exact):
         argv = ("integrate", "--standard", "2,3", "--poly", "x1^2 + x2", *mode)
-        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", size)
+        monkeypatch.setattr(integrate, "MAX_EXPANSION_TERMS", size)
         assert run_json(capsys, *argv, "--json")["exact"] == exact
-        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", size - 1)
+        monkeypatch.setattr(integrate, "MAX_EXPANSION_TERMS", size - 1)
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (1, "")
         assert err == (
@@ -586,10 +585,32 @@ class TestIntegrate:
         )
 
     def test_radial_power_expands_nothing(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "MAX_EXPANSION_TERMS", 0)
+        def fail(*args):
+            raise AssertionError("no moment may be computed")
+
+        monkeypatch.setattr(integrate, "MAX_EXPANSION_TERMS", 0)
+        monkeypatch.setattr(integrate, "monomial_simplex_integral", fail)
         doc = run_json(capsys, "integrate", "--standard", "2,3", "--poly", "x1^64",
                        "--radial-power", "-2", "--json")
         assert doc["log_coeff"] == "0"
+
+    @pytest.mark.parametrize("mode, body, facets", [
+        ((), 1, 0),
+        (("--facet", "0"), 0, 1),
+        (("--boundary",), 0, 10),  # one per facet of P(8, 2)
+    ])
+    def test_each_mode_triangulates_once(self, capsys, monkeypatch, mode, body, facets):
+        calls = {"triangulate": 0, "facet_triangulate": 0}
+        for name in calls:
+            original = getattr(DelzantPolytope, name)
+
+            def counted(self, *args, name=name, original=original):
+                calls[name] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(DelzantPolytope, name, counted)
+        run_json(capsys, "integrate", "--standard", "8,2", "--poly", "x1^2", *mode, "--json")
+        assert calls == {"triangulate": body, "facet_triangulate": facets}
 
 
 class TestKfCheck:

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from toricfutaki.exactnum import MultiPoly
+from toricfutaki.exactnum import MAX_COEFFICIENT_BITS, MultiPoly
 from toricfutaki.exprparse import PolyParseError, parse_poly
 
 
@@ -51,6 +51,19 @@ class TestBasicForms:
         assert parse_poly("x1^2*x2", 2) == parse_poly(" x1 ^ 2 * x2 ", 2)
 
 
+@pytest.fixture
+def small_powers(monkeypatch):
+    """Fail any power above the degree cap instead of computing it, so a
+    lost bound fails fast instead of building gigabytes."""
+    power = MultiPoly.__pow__
+
+    def guarded(self, e):
+        assert e <= 64, f"power ^{e} was computed"
+        return power(self, e)
+
+    monkeypatch.setattr(MultiPoly, "__pow__", guarded)
+
+
 class TestErrors:
     @pytest.mark.parametrize(
         "bad",
@@ -73,6 +86,23 @@ class TestErrors:
     def test_rejects(self, bad):
         with pytest.raises(PolyParseError):
             parse_poly(bad, 2)
+
+    @pytest.mark.parametrize("text, bits", [
+        ("3^4000000000", 8_000_000_000),  # 3 has 2 bits
+        ("2^1000000000", 2_000_000_000),
+        ("((((3^64)^64)^64)^64)", 64 * 6493),  # (3^64)^64 has 6493 bits
+        ("(1/3 + x1)^8193", 2 * 8193),  # denominators count too
+    ])
+    def test_power_refused_before_it_is_computed(self, small_powers, text, bits):
+        message = f"could give coefficients of {bits} bits, over the cap of {MAX_COEFFICIENT_BITS}"
+        with pytest.raises(PolyParseError, match=message):
+            parse_poly(text, 2)
+
+    def test_power_at_the_bit_cap(self):
+        assert parse_poly("3^8192", 2) == 3**8192  # estimated at 2 * 8192 bits
+        assert parse_poly("(2*x1 - 1/2)^64", 2) == (2 * MultiPoly.variable(2, 0) - F(1, 2)) ** 64
+        with pytest.raises(ValueError, match="total degree 65 exceeds cap 64"):
+            parse_poly("x1^65", 2)
 
     def test_bad_variable_count(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Exact body, facet, and radial-slab integrals, plus the MC oracle."""
 
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -184,6 +185,56 @@ class TestCenteringConstant:
     def test_index_validation(self):
         with pytest.raises(ValueError):
             c_constant(standard_blowup_polytope(2, 3), 2)
+
+    def test_one_triangulation(self, monkeypatch):
+        P = standard_blowup_polytope(3, 2)
+        calls = []
+        triangulate = DelzantPolytope.triangulate
+
+        def counted(self):
+            calls.append(self)
+            return triangulate(self)
+
+        monkeypatch.setattr(DelzantPolytope, "triangulate", counted)
+        assert c_constant(P, 0) == F(-15, 28)
+        assert calls == [P]
+
+
+class TestExpansionBudget:
+    # On P(2, 3): x1^2 + x2 expands to C(4, 2) + C(3, 2) = 9 monomials on
+    # each of the 2 triangles, and to C(3, 1) + C(2, 1) = 5 on each of the 4
+    # boundary segments; x1 expands to C(3, 2) = 3 per triangle.
+    @pytest.mark.parametrize("call, degree, size, simplices, exact", [
+        (lambda P, q: integrate_poly(P, q), 2, 18, 2, F(11)),
+        (lambda P, q: integrate_poly_facet(P, 0, q), 2, 5, 1, F(4)),
+        (lambda P, q: integrate_poly_boundary(P, q), 2, 20, 4, F(27)),
+        (lambda P, q: c_constant(P, 0), 1, 6, 2, F(-13, 12)),
+    ], ids=["body", "facet", "boundary", "c_constant"])
+    def test_refused_before_any_moment(self, monkeypatch, call, degree, size, simplices,
+                                       exact):
+        P = standard_blowup_polytope(2, 3)
+        q = MultiPoly.variable(2, 0) ** 2 + MultiPoly.variable(2, 1)
+        monkeypatch.setattr(integrate, "MAX_EXPANSION_TERMS", size)
+        assert call(P, q) == exact
+        monkeypatch.setattr(integrate, "MAX_EXPANSION_TERMS", size - 1)
+
+        def fail(*args):
+            raise AssertionError("no moment may be computed")
+
+        monkeypatch.setattr(integrate, "monomial_simplex_integral", fail)
+        message = (f"integrand of degree {degree} expands to {size} monomials over "
+                   f"{simplices} simplices, over the budget of {size - 1}")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(P, q)
+
+    def test_default_budget(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("no moment may be computed")
+
+        monkeypatch.setattr(integrate, "monomial_simplex_integral", fail)
+        with pytest.raises(ValueError, match="integrand of degree 40 expands to 37023 "
+                           "monomials over 3 simplices, over the budget of 5000"):
+            integrate_poly(standard_blowup_polytope(3, 2), MultiPoly.variable(3, 0) ** 40)
 
 
 class TestRadialSlab:
