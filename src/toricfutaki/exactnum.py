@@ -276,6 +276,13 @@ class MultiPoly:
     def __len__(self) -> int:
         return len(self._terms)
 
+    def coefficient_bits(self) -> tuple[int, int]:
+        """The largest bit lengths of the coefficients' numerators and of
+        their denominators; ``(0, 0)`` for the zero polynomial."""
+        cs = self._terms.values()
+        return (max((c.numerator.bit_length() for c in cs), default=0),
+                max((c.denominator.bit_length() for c in cs), default=0))
+
     def __iter__(self) -> Iterator[tuple[Exponent, Fraction]]:
         return iter(self.items())
 

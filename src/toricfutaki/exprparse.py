@@ -9,17 +9,35 @@ Grammar (whitespace-insensitive)::
 
 Variables are ``x1 .. xn`` (1-based).  Division requires a nonzero
 constant divisor, so ``x1/3`` and ``(1/3)*x2^2`` parse but ``1/x1`` does
-not.  Exponents must be non-negative integer literals, and a power is
-refused before it is computed if ``e`` times the largest bit size in its
-base exceeds ``MAX_COEFFICIENT_BITS``.  The result is an exact
-:class:`MultiPoly`; floats are a syntax error by construction.
+not.  Exponents must be non-negative integer literals.  Every power,
+product, quotient and sum is refused before it is computed if its
+coefficients could exceed ``MAX_COEFFICIENT_BITS``, and every power and
+product if its terms could exceed ``MAX_POLY_TERMS``.  The bit size of a
+coefficient is the larger of its numerator's and denominator's; a power's
+estimate is ``e`` times its base's largest, a product's or quotient's the
+sum of its factors' largest, and a sum's one more than its operands'
+largest (their sum, plus one, when a coefficient is not an integer).  The
+result is an exact :class:`MultiPoly`; floats are a syntax error by
+construction.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .exactnum import MAX_COEFFICIENT_BITS, MultiPoly
+
+# Cap on the terms a parsed power or product may build, bounded before it
+# is computed: a power of ``base`` by at most ``C(t + e - 1, e)`` for ``t``
+# terms and by ``C(e * deg + n, n)``, a product by ``t1 * t2``.  Exact body,
+# facet and boundary integrals refuse any integrand with more terms (each
+# term expands to at least one monomial per simplex, against integrate's
+# MAX_EXPANSION_TERMS of 5000), so only radial integrals lose inputs.  The
+# slowest power under the cap, (x1+x2+x3+1)^29 (4960 terms), parsed in
+# 2.0 s on a 2-core host; (x1+x2+x3+1)^32 had taken 4.0 s to parse before
+# integrate refused it.
+MAX_POLY_TERMS = 5_000
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<int>\d+)|(?P<var>x\d+)|(?P<pow>\*\*|\^)|(?P<op>[+\-*/()]))"
@@ -72,6 +90,9 @@ class _Parser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            (n1, d1), (n2, d2) = poly.coefficient_bits(), rhs.coefficient_bits()
+            integral = max(d1, d2) <= 1  # every denominator is 1
+            _check("sum", (max(n1, n2) if integral else max(n1, d1) + max(n2, d2)) + 1, 0)
             poly = poly + rhs if op == "+" else poly - rhs
         return poly
 
@@ -81,6 +102,7 @@ class _Parser:
             op = self.take()
             rhs = self.factor()
             if op == "*":
+                _check("product", _bits(poly) + _bits(rhs), len(poly) * len(rhs))
                 poly = poly * rhs
             else:
                 if rhs.total_degree > 0:
@@ -88,6 +110,7 @@ class _Parser:
                 divisor = rhs.coefficient((0,) * self.n)
                 if divisor == 0:
                     raise PolyParseError("division by zero")
+                _check("quotient", _bits(poly) + _bits(rhs), 0)
                 poly = poly * (1 / divisor)
         return poly
 
@@ -104,11 +127,11 @@ class _Parser:
             if not exp_tok.isdigit():
                 raise PolyParseError(f"exponent must be a non-negative integer, got {exp_tok!r}")
             e = int(exp_tok)
-            bits = e * max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                            for _, c in base), default=0)
-            if bits > MAX_COEFFICIENT_BITS:
-                raise PolyParseError(f"power ^{e} could give coefficients of {bits} bits, "
-                                     f"over the cap of {MAX_COEFFICIENT_BITS}")
+            terms = 0
+            if len(base) > 1:  # else the power has at most one term
+                terms = min(math.comb(len(base) + e - 1, e),
+                            math.comb(e * base.total_degree + self.n, self.n))
+            _check(f"power ^{e}", e * _bits(base), terms)
             return base ** e
         return base
 
@@ -129,6 +152,22 @@ class _Parser:
                 )
             return MultiPoly.variable(self.n, idx - 1)
         raise PolyParseError(f"unexpected token {tok!r}")
+
+
+def _bits(p: MultiPoly) -> int:
+    """The largest bit size of a numerator or denominator of ``p``."""
+    return max(p.coefficient_bits())
+
+
+def _check(what: str, bits: int, terms: int) -> None:
+    """Refuse an operation whose estimated coefficient bits or term bound
+    is over its cap, before it is computed."""
+    if bits > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(f"{what} could give coefficients of {bits} bits, "
+                             f"over the cap of {MAX_COEFFICIENT_BITS}")
+    if terms > MAX_POLY_TERMS:
+        raise PolyParseError(f"{what} could give {terms} terms, "
+                             f"over the cap of {MAX_POLY_TERMS}")
 
 
 def parse_poly(text: str, n: int) -> MultiPoly:

@@ -17,6 +17,7 @@ principal minors both pointwise and as an exact :class:`RadialSum`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -150,18 +151,26 @@ def jacobian(spec: FamilySpec, x: Sequence[RationalLike]) -> list[list[Fraction]
 
     With ``s = A + B*X**-n`` and ``r = -n*B*X**-(n+1)`` this is the
     rank-one perturbation ``s*I + r * x (1,...,1)^T``: entry ``(i, j)`` is
-    ``s*delta_ij + r*x_i``.
+    ``s*delta_ij + r*x_i``.  Over the lcm ``D`` of its denominators the
+    point is ``S_i / D``; ``s`` and ``r*x_i`` are formed in ints from these,
+    and each row's two distinct entries become Fractions once.
     """
     pt = as_point(x, spec.n)
-    X = sum(pt, Fraction(0))
-    if X <= 0:
+    D = math.lcm(*(c.denominator for c in pt))
+    Si = [c.numerator * (D // c.denominator) for c in pt]
+    S = sum(Si)
+    if S <= 0:
         raise ValueError("Jacobian needs a positive coordinate sum")
     n = spec.n
-    s = spec.A + spec.B * X ** (-n)
-    r = -n * spec.B * X ** (-(n + 1))
-    rows = [[r * c] * n for c in pt]
-    for i, row in enumerate(rows):
-        row[i] = s + row[i]
+    (An, Ad), (Bn, Bd) = spec.A.as_integer_ratio(), spec.B.as_integer_ratio()
+    r_num, r_den = -n * Bn * D**n, Bd * S ** (n + 1)
+    # s over Ad * r_den, the denominator the diagonal entries share.
+    s_num = An * r_den + Ad * Bn * D**n * S
+    rows = []
+    for i, c in enumerate(Si):
+        row = [Fraction(r_num * c, r_den)] * n
+        row[i] = Fraction(s_num + Ad * r_num * c, Ad * r_den)
+        rows.append(row)
     return rows
 
 
@@ -195,11 +204,13 @@ def minor_sum(spec: FamilySpec, x: Sequence[RationalLike]) -> Fraction:
     """
     m = jacobian(spec, x)
     n = spec.n
-    total = Fraction(0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += m[i][i] * m[j][j] - m[i][j] * m[j][i]
-    return total
+    # Over one denominator L, in ints; one Fraction at the end.
+    L = math.lcm(*(c.denominator for row in m for c in row))
+    k = [[c.numerator * (L // c.denominator) for c in row] for row in m]
+    total = sum(
+        k[i][i] * k[j][j] - k[i][j] * k[j][i] for i in range(n) for j in range(i + 1, n)
+    )
+    return Fraction(total, L * L)
 
 
 def minor_sum_radial(spec: FamilySpec) -> RadialSum:

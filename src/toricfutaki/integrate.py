@@ -336,8 +336,9 @@ def mc_integrate_many(
     generator.  Each sample index owns a fixed block of ``ceil(n/4)``
     counter steps (Philox emits four 64-bit words per step), so the stream
     consumed by sample ``i`` depends only on ``i`` and the seed.  Each
-    sample's accept test sums its half-space values axis by axis, so it
-    does not depend on where the sample sits in a block either.
+    sample's accept test sums its half-space terms axis by axis, once for
+    normals that differ only in sign, and compares the sum with minus the
+    offset, so it does not depend on where the sample sits in a block either.
 
     Samples are reduced in blocks of ``MC_BLOCK`` sample indices.  A block
     is a pure function of ``(seed, start)``: its own generator, advanced to
@@ -380,11 +381,16 @@ def mc_integrate_many(
     lo = np.array([float(v) for v in mins])
     widths = np.array([float(b) - float(a) for a, b in zip(mins, maxs)])
     box_vol = float(np.prod(widths))
-    # Each half-space as its nonzero (axis, coefficient) terms and its offset.
-    planes = [
-        ([(j, float(c)) for j, c in enumerate(h.v) if c], float(h.lam))
-        for h in P.halfspaces
-    ]
+    # The half-spaces grouped by their nonzero (axis, coefficient) terms up
+    # to sign, each with its sign and offset, less the box's lower faces.
+    planes: dict[tuple[tuple[int, float], ...], list[tuple[float, float]]] = {}
+    for h in P.halfspaces:
+        terms = [(j, float(c)) for j, c in enumerate(h.v) if c]
+        offset = float(h.lam)
+        if len(terms) == 1 and terms[0][1] == 1.0 and -offset <= lo[terms[0][0]]:
+            continue  # fl(fl(u*w_j) + lo_j) >= lo_j always holds
+        sign = 1.0 if terms[0][1] > 0 else -1.0
+        planes.setdefault(tuple((j, sign * c) for j, c in terms), []).append((sign, offset))
 
     blocks_per_sample = (n + 3) // 4
     draws_per_sample = 4 * blocks_per_sample
@@ -407,15 +413,20 @@ def mc_integrate_many(
         for at in range(0, count, chunk):
             m = min(chunk, count - at)
             u = gen.random(out=draws[:m])
-            x = np.multiply(u[:, :n].T, widths[:, None], out=coords[:, :m])
+            x = np.multiply(u[:, :n].T, widths[:, None], out=coords[:n, :m])
             x += lo[:, None]
+            # fl(sum + offset) >= 0 exactly when sum >= -offset, and a list
+            # with its signs flipped sums to exactly minus the same sum.
             inside = np.ones(m, dtype=bool)
-            for ((j, c), *rest), offset in planes:
-                value = x[j] * c
+            for ((j, c), *rest), tests in planes.items():
+                total = x[j] if c == 1.0 else np.multiply(x[j], c, out=coords[n, :m])
                 for j, c in rest:
-                    value += x[j] * c
-                value += offset
-                inside &= value >= 0.0
+                    if c == 1.0 or c == -1.0:
+                        total = (np.add if c > 0 else np.subtract)(total, x[j], out=coords[n, :m])
+                    else:
+                        total = np.add(total, x[j] * c, out=coords[n, :m])
+                for sign, offset in tests:
+                    inside &= total >= -offset if sign > 0 else total <= offset
             k = int(np.count_nonzero(inside))
             for y in ys:
                 y[at : at + m].fill(0.0)
@@ -440,10 +451,10 @@ def mc_integrate_many(
         """Blocks ``first``, ``first + workers``, ... in turn, with one set of buffers."""
         # Reused buffers: one block of values per integrand, one chunk of
         # draws, and one chunk of points stored axis by axis, so an accept
-        # test reads rows.
+        # test reads rows, with a last row for its half-space sums.
         ys = [np.empty(block) for _ in fs]
         draws = np.empty((chunk, draws_per_sample))
-        coords = np.empty((n, chunk))
+        coords = np.empty((n + 1, chunk))
         out = []
         try:
             for start in starts[first::workers]:

@@ -211,18 +211,26 @@ class DelzantPolytope:
 
     @staticmethod
     def _enumerate_vertices(n: int, hs: list[HalfSpace]) -> list[tuple[Point, tuple[int, ...]]]:
-        """Each vertex, sorted, with the indices of the ``hs`` tight there."""
-        found: dict[Point, tuple[int, ...]] = {}
-        for subset, inverse in _normal_fan(n, tuple(h.v for h in hs))[1]:
-            # x = inverse @ (-lam_S), over the nonzero offsets only.
-            rhs = [(k, -hs[i].lam) for k, i in enumerate(subset) if hs[i].lam]
-            x = tuple(sum((row[k] * b for k, b in rhs), Fraction(0)) for row in inverse)
-            if x in found:
+        """Each vertex, sorted, with the indices of the ``hs`` tight there.
+        In ints: with offsets ``l_j / q`` and an inverse ``Q / d``, the
+        candidate is ``y / (d*q)`` for ``y = Q @ (-l_S)``, and ``h_j`` has
+        the sign of ``<y, v_j> + l_j*d`` there."""
+        q = math.lcm(*(h.lam.denominator for h in hs))
+        offsets = [h.lam.numerator * (q // h.lam.denominator) for h in hs]
+        normals = [[(k, c) for k, c in enumerate(h.v) if c] for h in hs]
+        found: dict[tuple[int, ...], tuple[Point, tuple[int, ...]]] = {}
+        for subset, inverse, d in _normal_fan(n, tuple(h.v for h in hs))[1]:
+            rhs = [(k, -offsets[i]) for k, i in enumerate(subset) if offsets[i]]
+            y = [sum(row[k] * b for k, b in rhs) for row in inverse]
+            g = math.gcd(d * q, *y)
+            key = (d * q // g, *(c // g for c in y))  # the candidate in lowest terms
+            if key in found:
                 continue
-            values = [h.value(x) for h in hs]
+            values = [sum(y[k] * c for k, c in v) + l * d for v, l in zip(normals, offsets)]
             if all(val >= 0 for val in values):
-                found[x] = tuple(j for j, val in enumerate(values) if val == 0)
-        return sorted(found.items())
+                x = tuple(Fraction(c // g, key[0]) for c in y)
+                found[key] = (x, tuple(j for j, val in enumerate(values) if val == 0))
+        return sorted(found.values())
 
     # -- basic queries -------------------------------------------------------
 
@@ -354,12 +362,14 @@ class DelzantPolytope:
         return cls(d["n"], [HalfSpace.from_json_dict(h) for h in d["halfspaces"]])
 
 
-# At most 8 fans x MAX_VERTEX_EVALUATIONS / m inverses x n^2 rationals each
-# are held; verify-paper builds its polytopes from 6 fans.
+# At most 8 fans x MAX_VERTEX_EVALUATIONS / m inverses x n^2 ints each are
+# held; verify-paper builds its polytopes from 6 fans.
 @functools.lru_cache(maxsize=8)
 def _normal_fan(n: int, normals: tuple[tuple[int, ...], ...]) -> tuple[bool, tuple]:
     """Whether the normals bound every polytope they cut out, and each
-    non-singular ``n``-subset, in ``combinations`` order, with its inverse.
+    non-singular ``n``-subset, in ``combinations`` order, with its inverse
+    as an integer matrix ``Q`` and the lcm ``d`` of its denominators, so
+    that the inverse is ``Q / d``.
 
     The verdict is read only when some vertex exists, so the normals span
     and the recession cone ``{d : <d, v_i> >= 0}`` is pointed.  Each of its
@@ -373,12 +383,18 @@ def _normal_fan(n: int, normals: tuple[tuple[int, ...], ...]) -> tuple[bool, tup
     """
     subsets = itertools.combinations(range(len(normals)), n)
     inverses = ((s, mat_inverse([normals[i] for i in s])) for s in subsets)
-    fan = tuple((s, inv) for s, inv in inverses if inv is not None)
-    rays = (col for _, inv in fan for col in zip(*inv))
+    fan = tuple((s, *_over_lcm(inv)) for s, inv in inverses if inv is not None)
+    rays = (col for _, inv, _ in fan for col in zip(*inv))
     bounded = not any(
         all(sum(d * c for d, c in zip(ray, v) if c) >= 0 for v in normals) for ray in rays
     )
     return bounded, fan
+
+
+def _over_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(Q, d)`` with ``Q`` integer and ``d`` the denominators' lcm: rows = Q / d."""
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows), d
 
 
 def standard_blowup_polytope(n: int, b: RationalLike) -> DelzantPolytope:

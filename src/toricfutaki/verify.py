@@ -85,8 +85,10 @@ def _random_interior_point(rng: Random, n: int, b: Fraction) -> tuple[Fraction, 
     """A random rational point strictly inside the slab polytope."""
     weights = [rng.randint(1, 999) for _ in range(n)]
     total = sum(weights)
-    X = 1 + Fraction(rng.randint(1, 999), 1000) * (b - 1)
-    return tuple(Fraction(X.numerator * w, X.denominator * total) for w in weights)
+    # X = 1 + k/1000 * (b - 1) as Xn / Xd; each Fraction reduces once.
+    p, q = b.as_integer_ratio()
+    Xn, Xd = 1000 * q + rng.randint(1, 999) * (p - q), 1000 * q
+    return tuple(Fraction(Xn * w, Xd * total) for w in weights)
 
 
 # ---------------------------------------------------------------------------

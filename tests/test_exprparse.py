@@ -1,12 +1,14 @@
 """CLI polynomial expression parsing."""
 
+import re
 from fractions import Fraction
 from random import Random
 
 import pytest
 
+from toricfutaki import exprparse
 from toricfutaki.exactnum import MAX_COEFFICIENT_BITS, MultiPoly
-from toricfutaki.exprparse import PolyParseError, parse_poly
+from toricfutaki.exprparse import MAX_POLY_TERMS, PolyParseError, parse_poly
 
 
 def F(x, y=1):
@@ -107,6 +109,61 @@ class TestErrors:
     def test_bad_variable_count(self):
         with pytest.raises(ValueError):
             parse_poly("x1", 0)
+
+
+@pytest.fixture
+def small_operations(monkeypatch):
+    """Fail any product or sum of big operands instead of computing it, so
+    a lost bound fails fast instead of running for seconds."""
+    def size(p):
+        if not isinstance(p, MultiPoly):
+            p = MultiPoly.constant(1, p)
+        return len(p), max(p.coefficient_bits())
+
+    for name in ("__mul__", "__add__"):
+        op = getattr(MultiPoly, name)
+
+        def guarded(self, other, op=op, name=name):
+            (t1, b1), (t2, b2) = size(self), size(other)
+            assert t1 * t2 <= 1000 and b1 + b2 <= MAX_COEFFICIENT_BITS, f"{name} was computed"
+            return op(self, other)
+
+        monkeypatch.setattr(MultiPoly, name, guarded)
+
+
+class TestOperationBounds:
+    @pytest.mark.parametrize("text, n, message", [
+        ("(x1+x2+x3+1)^32", 3, "power ^32 could give 6545 terms"),
+        ("(x1+x2+1)^64", 3, "power ^64 could give 2145 terms"),  # C(65+1, 64)
+        ("(x1+x2+x3+1)^6*(x1-x2+x3-1)^6", 3, "product could give 7056 terms"),
+        ("3^8192*3^8192", 2, "product could give coefficients of 25970 bits"),
+        ("3^8192*x1/3^8192", 2, "quotient could give coefficients of 25970 bits"),
+        ("3^8192/2 + 3^8192/5", 2, "sum could give coefficients of 25971 bits"),
+        ("1/3^8192 - 1/3^8192", 2, "sum could give coefficients of 25971 bits"),
+    ])
+    def test_refused_before_computing(self, monkeypatch, small_operations, text, n, message):
+        if "2145" in message:
+            monkeypatch.setattr(exprparse, "MAX_POLY_TERMS", 2144)
+        with pytest.raises(PolyParseError, match=f"^{re.escape(message)}, over the cap of "):
+            parse_poly(text, n)
+
+    def test_term_caps_are_inclusive(self, monkeypatch):
+        monkeypatch.setattr(exprparse, "MAX_POLY_TERMS", 35)
+        assert len(parse_poly("(x1+x2+x3+1)^4", 3)) == 35
+        with pytest.raises(PolyParseError, match=r"power \^5 could give 56 terms, over the cap of 35"):
+            parse_poly("(x1+x2+x3+1)^5", 3)
+        assert len(parse_poly("(x1+1)^4*(x2+1)^6", 3)) == 35
+        with pytest.raises(PolyParseError, match="product could give 36 terms, over the cap of 35"):
+            parse_poly("(x1+1)^5*(x2+1)^5", 3)
+
+    def test_term_bound_is_the_smaller_count(self):
+        # One term stays one term, and two terms give e + 1 at any n.
+        assert parse_poly("x1^64", 3) == MultiPoly.variable(3, 0) ** 64
+        assert len(parse_poly("(x1+x10)^40", 10)) == 41
+
+    def test_sums_of_integers_grow_by_one_bit(self):
+        big = parse_poly("3^8192 + 3^8192 - 1/3", 2)
+        assert big == 2 * 3**8192 - F(1, 3)
 
 
 class TestRoundTrip:
