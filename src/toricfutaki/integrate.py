@@ -401,7 +401,8 @@ def mc_integrate_many(
     workers = min(MC_WORKERS, len(starts))
 
     def reduce_block(
-        start: int, ys: list[np.ndarray], draws: np.ndarray, coords: np.ndarray
+        start: int, ys: list[np.ndarray], draws: np.ndarray, coords: np.ndarray,
+        gathered: np.ndarray,
     ) -> tuple[list[tuple[float, float]], int]:
         """Each integrand's sum and sum of squares, and the hits, of the
         block that starts at ``start``."""
@@ -427,17 +428,23 @@ def mc_integrate_many(
                         total = np.add(total, x[j] * c, out=coords[n, :m])
                 for sign, offset in tests:
                     inside &= total >= -offset if sign > 0 else total <= offset
-            k = int(np.count_nonzero(inside))
+            idx = np.flatnonzero(inside)
+            k = len(idx)
             for y in ys:
                 y[at : at + m].fill(0.0)
             if k:
-                points = np.ascontiguousarray(x[:, inside].T)
+                # Gather the accepted points by index, axis by axis, into
+                # rows; scatter each integrand's values back the same way.
+                points = gathered[:k]
+                for j in range(n):
+                    np.take(x[j], idx, out=points[:, j])
                 points.flags.writeable = False
+                idx += at
                 for f, y in zip(fs, ys):
                     vals = np.asarray(f(points), dtype=float)
                     if vals.shape != (k,):
                         raise ValueError("integrand must return one value per input point")
-                    y[at : at + m][inside] = vals
+                    y[idx] = vals
             hits += k
         sums = []
         for y in ys:
@@ -450,17 +457,19 @@ def mc_integrate_many(
     def reduce_blocks(first: int) -> list[tuple[list[tuple[float, float]], int]]:
         """Blocks ``first``, ``first + workers``, ... in turn, with one set of buffers."""
         # Reused buffers: one block of values per integrand, one chunk of
-        # draws, and one chunk of points stored axis by axis, so an accept
-        # test reads rows, with a last row for its half-space sums.
+        # draws, one chunk of points stored axis by axis, so an accept test
+        # reads rows, with a last row for its half-space sums, and one chunk
+        # of accepted points stored point by point for the integrands.
         ys = [np.empty(block) for _ in fs]
         draws = np.empty((chunk, draws_per_sample))
         coords = np.empty((n + 1, chunk))
+        gathered = np.empty((chunk, n))
         out = []
         try:
             for start in starts[first::workers]:
                 if failed:
                     break
-                out.append(reduce_block(start, ys, draws, coords))
+                out.append(reduce_block(start, ys, draws, coords, gathered))
         except BaseException:
             failed.append(first)
             raise

@@ -8,12 +8,21 @@ stable kebab-case names, and every failure carries the offending values.
 The CLI ``verify-paper`` command and the acceptance test suite both run
 exactly this list, so there is one source of truth for what "verified"
 means.
+
+``run_checks`` runs two or more selected checks in two processes: a child
+forked for the call takes the first, third, fifth, ... of them and this
+process the rest.  The split is fixed, so it repeats from run to run, and
+the halves are merged in registry order, so results, output bytes and exit
+codes are those of running every check in turn.  Without ``fork``, in a
+daemonic process, with other threads running, or for a single check,
+everything runs in this process.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
@@ -435,12 +444,42 @@ CHECKS: tuple[Check, ...] = (
 CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
+def _run_named(names: list[str], seed: int) -> tuple[list[CheckResult], Exception | None]:
+    """Run the named checks in the order given.  A ``CheckFailure`` becomes
+    a failed result; any other exception stops the run and comes back with
+    the results before it."""
+    by_name = {c.name: c for c in CHECKS}
+    results: list[CheckResult] = []
+    for name in names:
+        check = by_name[name]
+        try:
+            detail = check.fn(seed)
+        except CheckFailure as exc:
+            results.append(CheckResult(name, False, check.anchor, str(exc)))
+        except Exception as exc:
+            return results, exc
+        else:
+            results.append(CheckResult(name, True, check.anchor, detail))
+    return results, None
+
+
 def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResult]:
-    """Run the named checks (all by default) in registry order.
+    """Run the named checks (all by default) and return their results in
+    registry order.
 
     An empty selection is refused: it would report success on nothing.  So
     is a seed outside ``[0, 2**128 - 1)``, since the Monte Carlo checks key
     Philox with both the seed and the seed plus one.
+
+    With two or more checks selected, a forked child process runs the
+    first, third, fifth, ... of them while this process runs the others.
+    The child is sent check names, not ``Check`` objects, and the two
+    halves are merged in registry order, so the results are those of one
+    process running every check in turn.  The first exception other than
+    ``CheckFailure`` in registry order reaches the caller with its type and
+    message.  Everything runs here when one check is selected, when the
+    ``fork`` start method is unavailable, when this is a daemonic process
+    (which may not have children), or when other threads are running.
     """
     if not 0 <= seed < MC_SEED_BOUND - 1:
         raise ValueError(
@@ -460,13 +499,39 @@ def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResu
                 f"unknown check names {unknown}; available: {', '.join(CHECK_NAMES)}"
             )
         selected = set(names)
+    chosen = [name for name in CHECK_NAMES if name in selected]
+    # Imported here, not at module level: loading them costs every CLI run.
+    import multiprocessing
+    import threading
+    from concurrent.futures import ProcessPoolExecutor
+
+    if (
+        len(chosen) < 2
+        or "fork" not in multiprocessing.get_all_start_methods()
+        or multiprocessing.current_process().daemon
+        # A child forked while another thread holds a lock can deadlock on it.
+        or threading.active_count() > 1
+    ):
+        halves = [_run_named(chosen, seed)]
+    else:
+        # A forked child that flushed buffers it inherited would write them twice.
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except (AttributeError, ValueError):  # None, or closed: nothing to flush
+                pass
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            child = pool.submit(_run_named, chosen[0::2], seed)
+            own = _run_named(chosen[1::2], seed)
+            halves = [child.result(), own]
+    # With k = len(halves), check i of ``chosen`` is entry i // k of half
+    # i % k.  A half stops at its first exception, so walking in registry
+    # order meets the first exception before any entry it left out.
+    k = len(halves)
     results: list[CheckResult] = []
-    for check in CHECKS:
-        if check.name not in selected:
-            continue
-        try:
-            detail = check.fn(seed)
-            results.append(CheckResult(check.name, True, check.anchor, detail))
-        except CheckFailure as exc:
-            results.append(CheckResult(check.name, False, check.anchor, str(exc)))
+    for i in range(len(chosen)):
+        done, exc = halves[i % k]
+        if i // k == len(done):
+            raise exc
+        results.append(done[i // k])
     return results

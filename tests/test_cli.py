@@ -839,3 +839,19 @@ class TestTopLevel:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
+
+    def test_parser_loads_no_process_pool_or_numpy(self):
+        # Every CLI run pays for what importing the CLI loads; verify-paper
+        # and the Monte Carlo sampler import these only when they run.
+        src = str(Path(toricfutaki.__file__).resolve().parents[1])
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "import toricfutaki.cli as cli; cli.build_parser()\n"
+            "print([m for m in ('multiprocessing', 'concurrent.futures', 'numpy')"
+            " if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", script], capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
