@@ -14,8 +14,8 @@ classes cover the integrand types used downstream:
 
 A small exact linear-algebra kit over rational matrices lives here as
 well; the polytope, integrate and family modules share it.  Determinant,
-solve, inverse and rank all run one forward elimination (``_row_reduce``),
-followed where needed by back substitution.
+inverse and rank run one forward elimination (``_row_reduce``), with back
+substitution where needed; solve goes through the inverse.
 All values are immutable after construction.
 """
 
@@ -32,6 +32,7 @@ if TYPE_CHECKING:
 
 Rational = Fraction
 RationalLike = Union[int, str, Fraction]
+Point = tuple[Fraction, ...]
 
 # Hard cap on total degree: integration cost grows factorially with degree
 # and the exact Dirichlet moments below assume small multi-indices.
@@ -82,6 +83,19 @@ def as_fraction(x: RationalLike) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Canonical ``p/q`` (or ``p`` for integers) string form."""
     return str(x)
+
+
+def as_point(x: Sequence[RationalLike], n: int) -> Point:
+    pt = tuple(as_fraction(v) for v in x)
+    if len(pt) != n:
+        raise ValueError(f"point has length {len(pt)}, expected {n}")
+    return pt
+
+
+def over_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """``(Q, d)`` with ``Q`` integer and ``d`` the denominators' lcm: rows = Q / d."""
+    d = math.lcm(*(c.denominator for row in rows for c in row))
+    return tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows), d
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +164,13 @@ def mat_solve(
     rows: Sequence[Sequence[RationalLike]], rhs: Sequence[RationalLike]
 ) -> list[Fraction] | None:
     """Solve ``A x = b`` exactly; return None when A is singular."""
-    a = _copy_matrix(rows)
     b = [as_fraction(v) for v in rhs]
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
+    if any(len(row) != len(rows) for row in rows) or len(b) != len(rows):
         raise ValueError("solve requires square A and matching rhs")
-    for row, v in zip(a, b):
-        row.append(-v)
-    pivots, _ = _row_reduce(a, n)
-    if len(pivots) < n:
+    inverse = mat_inverse(rows)
+    if inverse is None:
         return None
-    # The augmented column is the one free column: x = (solution, 1).
-    return _null_vector(a, pivots, n, n + 1)[:n]
+    return [sum((c * v for c, v in zip(row, b)), Fraction(0)) for row in inverse]
 
 
 def mat_inverse(rows: Sequence[Sequence[RationalLike]]) -> tuple[tuple[Fraction, ...], ...] | None:
@@ -360,9 +369,7 @@ class MultiPoly:
 
     def eval(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact evaluation at a rational point."""
-        xs = [as_fraction(v) for v in point]
-        if len(xs) != self.n:
-            raise ValueError(f"point has length {len(xs)}, expected {self.n}")
+        xs = as_point(point, self.n)
         total = Fraction(0)
         for alpha, c in self._terms.items():
             term = c
@@ -390,9 +397,7 @@ class MultiPoly:
 
     def shift(self, t: Sequence[RationalLike]) -> "MultiPoly":
         """Substitute ``x -> x + t``, i.e. return ``p(x + t)``."""
-        ts = [as_fraction(v) for v in t]
-        if len(ts) != self.n:
-            raise ValueError(f"shift vector has length {len(ts)}, expected {self.n}")
+        ts = as_point(t, self.n)
         result = MultiPoly.zero(self.n)
         for alpha, c in self._terms.items():
             term = MultiPoly.constant(self.n, c)
@@ -536,9 +541,7 @@ class RadialSum:
 
     def eval(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact evaluation; requires ``sum(point) != 0`` if any power is negative."""
-        xs = [as_fraction(v) for v in point]
-        if len(xs) != self.n:
-            raise ValueError(f"point has length {len(xs)}, expected {self.n}")
+        xs = as_point(point, self.n)
         X = sum(xs, Fraction(0))
         if X == 0 and any(k < 0 for k in self._terms):
             raise ZeroDivisionError("negative radial power at a point with zero coordinate sum")

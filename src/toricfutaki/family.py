@@ -17,19 +17,20 @@ principal minors both pointwise and as an exact :class:`RadialSum`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .exactnum import (
     MultiPoly,
+    Point,
     RadialSum,
     RationalLike,
     as_fraction,
+    as_point,
     mat_det,
+    over_lcm,
 )
-from .polytope import Point, as_point
 
 # Largest dimension accepted, also by the CLI's polytope loader.  A report
 # on a new reference class re-triangulates the polytope, and its time grows
@@ -106,9 +107,8 @@ def make_spec(
     remain well defined as formal expressions); downstream reports flag the
     violated hypothesis.
     """
-    _check_dim(n)
+    lam = slope_lambda_intersection(n, a, b)
     af, bf = as_fraction(a), as_fraction(b)
-    lam = slope_lambda_intersection(n, af, bf)
     ok = lam > n - 1
     if not ok and not force:
         raise UnsolvableClassError(
@@ -155,9 +155,7 @@ def jacobian(spec: FamilySpec, x: Sequence[RationalLike]) -> list[list[Fraction]
     point is ``S_i / D``; ``s`` and ``r*x_i`` are formed in ints from these,
     and each row's two distinct entries become Fractions once.
     """
-    pt = as_point(x, spec.n)
-    D = math.lcm(*(c.denominator for c in pt))
-    Si = [c.numerator * (D // c.denominator) for c in pt]
+    (Si,), D = over_lcm([as_point(x, spec.n)])
     S = sum(Si)
     if S <= 0:
         raise ValueError("Jacobian needs a positive coordinate sum")
@@ -204,9 +202,7 @@ def minor_sum(spec: FamilySpec, x: Sequence[RationalLike]) -> Fraction:
     """
     m = jacobian(spec, x)
     n = spec.n
-    # Over one denominator L, in ints; one Fraction at the end.
-    L = math.lcm(*(c.denominator for row in m for c in row))
-    k = [[c.numerator * (L // c.denominator) for c in row] for row in m]
+    k, L = over_lcm(m)
     total = sum(
         k[i][i] * k[j][j] - k[i][j] * k[j][i] for i in range(n) for j in range(i + 1, n)
     )

@@ -151,6 +151,10 @@ def _integrate_parts(parts: Sequence[tuple[Simplex, Fraction]], q: MultiPoly) ->
     return sum((monomial_simplex_integral(s, q, m) for s, m in parts), Fraction(0))
 
 
+def _body_parts(P: DelzantPolytope) -> list[tuple[Simplex, Fraction]]:
+    return [(s, s.volume()) for s in P.triangulate()]
+
+
 def _facet_parts(
     P: DelzantPolytope, i: int, transversal: Sequence[int] | None = None
 ) -> list[tuple[Simplex, Fraction]]:
@@ -166,7 +170,7 @@ def _facet_parts(
 def integrate_poly(P: DelzantPolytope, p: MultiPoly | RationalLike) -> Fraction:
     """Exact Lebesgue integral of a polynomial over the polytope body."""
     q = _as_poly(P.n, p)
-    return _integrate_parts([(s, s.volume()) for s in P.triangulate()], q)
+    return _integrate_parts(_body_parts(P), q)
 
 
 def volume(P: DelzantPolytope) -> Fraction:
@@ -206,7 +210,7 @@ def c_constant(P: DelzantPolytope, i: int) -> Fraction:
     """The constant ``c`` making ``integral of (x_i + c) over P`` vanish."""
     if not 0 <= i < P.n:
         raise ValueError(f"coordinate index {i} out of range for n={P.n}")
-    parts = [(s, s.volume()) for s in P.triangulate()]
+    parts = _body_parts(P)
     moment = _integrate_parts(parts, MultiPoly.variable(P.n, i))
     return -moment / sum(vol for _, vol in parts)
 
@@ -270,7 +274,8 @@ def slab_bounds(P: DelzantPolytope) -> tuple[Fraction, Fraction] | None:
             hi = h.lam
         else:
             return None
-    if seen_axes != axes or lo is None or hi is None or not 0 < lo < hi:
+    # At n = 1, lo > 0 implies x >= 0, so pruning has dropped that bound.
+    if (n > 1 and seen_axes != axes) or lo is None or hi is None or not 0 < lo < hi:
         return None
     return lo, hi
 

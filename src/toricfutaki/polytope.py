@@ -21,19 +21,20 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .exactnum import (
+    Point,
     RationalLike,
     as_fraction,
+    as_point,
     format_rational,
     mat_det,
     mat_inverse,
     mat_rank,
+    over_lcm,
     parse_rational,
 )
-
-Point = tuple[Fraction, ...]
 
 # Vertex enumeration evaluates each of the m half-spaces at the candidate of
 # each n-subset, C(m, n) * m evaluations; this cap keeps a malformed input
@@ -42,13 +43,6 @@ Point = tuple[Fraction, ...]
 # n = 1..10 (13 random half-spaces at n = 9) took 8.3 s on a 2-core host
 # whose perfbench/speed.py factor read 1.3.  P(10, b) needs 792.
 MAX_VERTEX_EVALUATIONS = 10_000
-
-
-def as_point(x: Sequence[RationalLike], n: int) -> Point:
-    pt = tuple(as_fraction(v) for v in x)
-    if len(pt) != n:
-        raise ValueError(f"point has length {len(pt)}, expected {n}")
-    return pt
 
 
 def affine_rank(points: Sequence[Point]) -> int:
@@ -215,8 +209,7 @@ class DelzantPolytope:
         In ints: with offsets ``l_j / q`` and an inverse ``Q / d``, the
         candidate is ``y / (d*q)`` for ``y = Q @ (-l_S)``, and ``h_j`` has
         the sign of ``<y, v_j> + l_j*d`` there."""
-        q = math.lcm(*(h.lam.denominator for h in hs))
-        offsets = [h.lam.numerator * (q // h.lam.denominator) for h in hs]
+        (offsets,), q = over_lcm([[h.lam for h in hs]])
         normals = [[(k, c) for k, c in enumerate(h.v) if c] for h in hs]
         found: dict[tuple[int, ...], tuple[Point, tuple[int, ...]]] = {}
         for subset, inverse, d in _normal_fan(n, tuple(h.v for h in hs))[1]:
@@ -309,17 +302,23 @@ class DelzantPolytope:
                 out.append(on)
         return out
 
+    @staticmethod
+    def _apex_pick(apex_rule: str) -> Callable[[tuple[Point, ...]], Point]:
+        if apex_rule not in ("lexmin", "lexmax"):
+            raise ValueError(f"unknown apex rule: {apex_rule!r}")
+        return min if apex_rule == "lexmin" else max
+
     def _pull(
-        self, face: tuple[Point, ...], d: int, apex_rule: str
+        self, face: tuple[Point, ...], d: int, pick: Callable[[tuple[Point, ...]], Point]
     ) -> list[Simplex]:
         if len(face) == d + 1:
             return [Simplex(face)]
-        apex = min(face) if apex_rule == "lexmin" else max(face)
+        apex = pick(face)
         simplices: list[Simplex] = []
         for sub in self._subfaces(face, d):
             if apex in sub:
                 continue
-            for s in self._pull(sub, d - 1, apex_rule):
+            for s in self._pull(sub, d - 1, pick):
                 simplices.append(Simplex(s.vertices + (apex,)))
         return simplices
 
@@ -329,16 +328,12 @@ class DelzantPolytope:
         ``apex_rule`` picks the pulled vertex of every face: the
         lexicographically smallest ("lexmin") or largest ("lexmax").
         """
-        if apex_rule not in ("lexmin", "lexmax"):
-            raise ValueError(f"unknown apex rule: {apex_rule!r}")
-        return self._pull(self._vertices, self.n, apex_rule)
+        return self._pull(self._vertices, self.n, self._apex_pick(apex_rule))
 
     def facet_triangulate(self, i: int, apex_rule: str = "lexmin") -> list[Simplex]:
         """Pulling triangulation of facet ``i`` into (n-1)-simplices."""
-        if apex_rule not in ("lexmin", "lexmax"):
-            raise ValueError(f"unknown apex rule: {apex_rule!r}")
         self._check_facet_index(i)
-        return self._pull(self._facet_vertices[i], self.n - 1, apex_rule)
+        return self._pull(self._facet_vertices[i], self.n - 1, self._apex_pick(apex_rule))
 
     # -- transforms and serialization ------------------------------------------
 
@@ -383,18 +378,12 @@ def _normal_fan(n: int, normals: tuple[tuple[int, ...], ...]) -> tuple[bool, tup
     """
     subsets = itertools.combinations(range(len(normals)), n)
     inverses = ((s, mat_inverse([normals[i] for i in s])) for s in subsets)
-    fan = tuple((s, *_over_lcm(inv)) for s, inv in inverses if inv is not None)
+    fan = tuple((s, *over_lcm(inv)) for s, inv in inverses if inv is not None)
     rays = (col for _, inv, _ in fan for col in zip(*inv))
     bounded = not any(
         all(sum(d * c for d, c in zip(ray, v) if c) >= 0 for v in normals) for ray in rays
     )
     return bounded, fan
-
-
-def _over_lcm(rows: Sequence[Sequence[Fraction]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """``(Q, d)`` with ``Q`` integer and ``d`` the denominators' lcm: rows = Q / d."""
-    d = math.lcm(*(c.denominator for row in rows for c in row))
-    return tuple(tuple(c.numerator * (d // c.denominator) for c in row) for row in rows), d
 
 
 def standard_blowup_polytope(n: int, b: RationalLike) -> DelzantPolytope:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from random import Random
 from typing import Callable
@@ -35,6 +35,7 @@ from .character import (
     bulk_axis,
     classical_futaki_axis,
     kf_ruled_ratio,
+    normalized_affine,
     required_ratio,
 )
 from .exactnum import LogLinear, MultiPoly, RadialSum
@@ -72,12 +73,7 @@ class CheckResult:
     detail: str
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "anchor": self.anchor,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 def _expect(cond: bool, message: str) -> None:
@@ -297,7 +293,7 @@ def _check_log_cancellation(seed: int) -> str:
         spec = make_spec(n, a, b)
         P = standard_blowup_polytope(n, b)
         i = rng.randrange(n)
-        affine = MultiPoly.variable(n, i) + c_constant(P, i)
+        affine = normalized_affine(P, i)
         val = integrate_radial(n, b, minor_sum_radial(spec).mul_poly(affine))
         _expect_eq(val.q1, Fraction(0), f"log coefficient for n={n}, a={a}, b={b}")
         checked += 1
@@ -444,10 +440,10 @@ CHECKS: tuple[Check, ...] = (
 CHECK_NAMES = tuple(c.name for c in CHECKS)
 
 
-def _run_named(names: list[str], seed: int) -> tuple[list[CheckResult], Exception | None]:
+def _run_named(names: list[str], seed: int) -> tuple[list[CheckResult], Exception | None, str]:
     """Run the named checks in the order given.  A ``CheckFailure`` becomes
     a failed result; any other exception stops the run and comes back with
-    the results before it."""
+    the results before it and its formatted traceback, which pickling drops."""
     by_name = {c.name: c for c in CHECKS}
     results: list[CheckResult] = []
     for name in names:
@@ -457,10 +453,15 @@ def _run_named(names: list[str], seed: int) -> tuple[list[CheckResult], Exceptio
         except CheckFailure as exc:
             results.append(CheckResult(name, False, check.anchor, str(exc)))
         except Exception as exc:
-            return results, exc
+            import traceback  # loaded only when a check crashes
+            return results, exc, "".join(traceback.format_exception(exc))
         else:
             results.append(CheckResult(name, True, check.anchor, detail))
-    return results, None
+    return results, None, ""
+
+
+class _RemoteTraceback(Exception):
+    """An exception's traceback, formatted in the forked child that raised it."""
 
 
 def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResult]:
@@ -477,7 +478,8 @@ def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResu
     halves are merged in registry order, so the results are those of one
     process running every check in turn.  The first exception other than
     ``CheckFailure`` in registry order reaches the caller with its type and
-    message.  Everything runs here when one check is selected, when the
+    message; from the child, its traceback comes as its ``__cause__``.
+    Everything runs here when one check is selected, when the
     ``fork`` start method is unavailable, when this is a daemonic process
     (which may not have children), or when other threads are running.
     """
@@ -486,20 +488,16 @@ def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResu
             "seed must be a non-negative int below 2**128 - 1"
             f" (the Monte Carlo checks also draw with seed + 1), got {seed}"
         )
-    if names is None:
-        selected = set(CHECK_NAMES)
-    else:
-        if not names:
-            raise ValueError(
-                f"no checks selected; available: {', '.join(CHECK_NAMES)}"
-            )
-        unknown = sorted(set(names) - set(CHECK_NAMES))
-        if unknown:
-            raise ValueError(
-                f"unknown check names {unknown}; available: {', '.join(CHECK_NAMES)}"
-            )
-        selected = set(names)
-    chosen = [name for name in CHECK_NAMES if name in selected]
+    if names is not None and not names:
+        raise ValueError(
+            f"no checks selected; available: {', '.join(CHECK_NAMES)}"
+        )
+    unknown = sorted(set(names or ()) - set(CHECK_NAMES))
+    if unknown:
+        raise ValueError(
+            f"unknown check names {unknown}; available: {', '.join(CHECK_NAMES)}"
+        )
+    chosen = [name for name in CHECK_NAMES if names is None or name in names]
     # Imported here, not at module level: loading them costs every CLI run.
     import multiprocessing
     import threading
@@ -530,8 +528,10 @@ def run_checks(names: list[str] | None = None, seed: int = 42) -> list[CheckResu
     k = len(halves)
     results: list[CheckResult] = []
     for i in range(len(chosen)):
-        done, exc = halves[i % k]
+        done, exc, remote = halves[i % k]
         if i // k == len(done):
+            if exc.__traceback__ is None:  # pickled back from the child
+                exc.__cause__ = _RemoteTraceback(f'\n"""\n{remote}"""')
             raise exc
         results.append(done[i // k])
     return results

@@ -271,6 +271,17 @@ class TestRadialSlab:
         assert slab_bounds(unit_box(2)) is None
         assert slab_bounds(standard_blowup_polytope(2, 3)) == (F(1), F(3))
 
+    def test_slab_detection_in_dimension_one(self):
+        # x >= 0 is redundant on {2 <= x <= 5} and pruned, yet it is a slab.
+        bounds = [HalfSpace((1,), F(-2)), HalfSpace((-1,), F(5))]
+        interval = DelzantPolytope(1, [HalfSpace((1,), F(0)), *bounds])
+        assert interval.halfspaces == tuple(bounds)
+        assert slab_bounds(interval) == (F(2), F(5))
+        assert slab_bounds(standard_blowup_polytope(1, 3)) == (F(1), F(3))
+        # {-1 <= x <= 5} meets x < 0, so it is not {x >= 0, lo <= x <= hi}.
+        straddling = DelzantPolytope(1, [HalfSpace((1,), F(1)), HalfSpace((-1,), F(5))])
+        assert slab_bounds(straddling) is None
+
     def test_bound_validation(self):
         r = RadialSum.constant(2, 1)
         with pytest.raises(ValueError):

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import threading
+import traceback
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,20 @@ def test_other_exception_in_child_reaches_caller(monkeypatch):
     patch_checks(monkeypatch, {"nakai-infeasibility": boom})
     with pytest.raises(ZeroDivisionError, match=r"^child half, seed 3$"):
         run_checks(["kf-cross-check", "vertex-mapping", "nakai-infeasibility"], seed=3)
+
+
+def test_crash_in_child_shows_the_checks_frame(monkeypatch):
+    def scan(**kwargs):
+        return 1 / 0
+
+    # The child runs the first and third of the three checks.
+    monkeypatch.setattr(verify, "infeasibility_scan", scan)
+    with pytest.raises(ZeroDivisionError) as info:
+        run_checks(["kf-cross-check", "vertex-mapping", "nakai-infeasibility"])
+    shown = "".join(traceback.format_exception(info.value))
+    assert "in _check_nakai" in shown
+    assert "scan = infeasibility_scan(grid_bound=50" in shown
+    assert shown.rstrip().endswith("ZeroDivisionError: division by zero")
 
 
 @pytest.mark.parametrize("first", ["child", "parent"])
