@@ -17,9 +17,9 @@ independent cross-check coming from ruled surfaces over a curve.
 The boundary term and the centring constants ``c_i`` depend only on the
 reference class ``(n, b)``; only the bulk term sees the second class
 ``a``.  :func:`build_report` therefore reads the b-determined half (each
-axis's ``c_i`` and boundary term) from a bounded memo keyed by ``(n, b)``,
-holding the last ``SLAB_CACHE_SIZE`` reference classes, and computes only
-the bulk term per call.  The polytope-generic
+axis's ``x_i + c_i`` and boundary term) from a bounded memo keyed by
+``(n, b)``, holding the last ``SLAB_CACHE_SIZE`` reference classes, and
+computes only the bulk term per call.  The polytope-generic
 :func:`classical_futaki_axis` and :func:`bulk_axis` recompute everything
 and stay the oracle the checks and tests compare against.
 """
@@ -85,13 +85,12 @@ def bulk_axis(spec: FamilySpec, i: int, P: DelzantPolytope | None = None) -> Fra
     """
     if P is None:
         P = standard_blowup_polytope(spec.n, spec.b)
-    return _bulk_term(spec, minor_sum_radial(spec), i, c_constant(P, i))
+    return _bulk_term(spec, minor_sum_radial(spec), normalized_affine(P, i))
 
 
-def _bulk_term(spec: FamilySpec, minors: RadialSum, i: int, c: Fraction) -> Fraction:
-    """The radial integral of ``(x_i + c) * minors``, asserted log-free."""
-    integrand = minors.mul_poly(MultiPoly.variable(spec.n, i) + c)
-    val = integrate_radial(spec.n, spec.b, integrand)
+def _bulk_term(spec: FamilySpec, minors: RadialSum, affine: MultiPoly) -> Fraction:
+    """The radial integral of ``affine * minors``, asserted log-free."""
+    val = integrate_radial(spec.n, spec.b, minors.mul_poly(affine))
     if val.q1 != 0:
         raise InconsistencyError(
             f"bulk term produced a log coefficient {val.q1} != 0; the "
@@ -101,27 +100,24 @@ def _bulk_term(spec: FamilySpec, minors: RadialSum, i: int, c: Fraction) -> Frac
 
 
 @functools.lru_cache(maxsize=SLAB_CACHE_SIZE)
-def _slab_terms(n: int, b: Fraction) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Per axis, the b-determined ``(c_i, boundary term)`` of the model
-    polytope ``P(n, b)``, memoized: the constant :func:`c_constant` gives
-    and the integral :func:`classical_futaki_axis` takes."""
+def _slab_terms(n: int, b: Fraction) -> tuple[tuple[MultiPoly, Fraction], ...]:
+    """Per axis, the b-determined ``(x_i + c_i, boundary term)`` of the
+    model polytope ``P(n, b)``, memoized: what :func:`normalized_affine`
+    builds and :func:`classical_futaki_axis` integrates."""
     P = standard_blowup_polytope(n, b)
-    centres = [c_constant(P, i) for i in range(n)]
-    return tuple(
-        (c, integrate_poly_boundary(P, MultiPoly.variable(n, i) + c))
-        for i, c in enumerate(centres)
-    )
+    affines = [normalized_affine(P, i) for i in range(n)]
+    return tuple((f, integrate_poly_boundary(P, f)) for f in affines)
 
 
 def _axis_terms(spec: FamilySpec) -> tuple[Fraction, Fraction]:
     """Per-axis (boundary, bulk) pair, asserting agreement across axes.
 
-    The boundary terms and ``c_i`` come from :func:`_slab_terms`; the bulk
-    term is the integral :func:`bulk_axis` takes, with the memoized ``c_i``.
+    The boundary terms and ``x_i + c_i`` come from :func:`_slab_terms`;
+    the bulk term is the integral :func:`bulk_axis` takes.
     """
     slab = _slab_terms(spec.n, spec.b)
     minors = minor_sum_radial(spec)
-    bk = [_bulk_term(spec, minors, i, c) for i, (c, _) in enumerate(slab)]
+    bk = [_bulk_term(spec, minors, affine) for affine, _ in slab]
     bd = [boundary for _, boundary in slab]
     if len(set(bd)) != 1 or len(set(bk)) != 1:
         raise InconsistencyError(

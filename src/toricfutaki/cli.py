@@ -191,6 +191,8 @@ def _range_length(lo: Fraction, hi: Fraction, step: Fraction) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if args.csv and args.json:
+        raise ValueError("give either --csv or --json, not both")
     _check_dim(args.n)
     step = args.step
     na = _range_length(args.a_from, args.a_to, step)
@@ -202,10 +204,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     a_values = [args.a_from + k * step for k in range(na)]
     b_values = [args.b_from + k * step for k in range(nb)]
     fields = ["n", "a", "b", "solvable", "boundary_term", "bulk_term", "required_ratio", "verdict"]
-    rows = []
+    rows = [None] * (na * nb)
     # b outer: the b-determined half of each report is computed once per b.
-    for b in b_values:
-        for a in a_values:
+    for kb, b in enumerate(b_values):
+        for ka, a in enumerate(a_values):
             spec = make_spec(args.n, a, b, force=True) if b > 1 and a > 0 else None
             ok = spec is not None and spec.solvable
             values = ["", "", "", ""]
@@ -219,8 +221,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                     report.verdict.value if report.verdict in _SCAN_VERDICTS else "",
                 ]
             row = [args.n, format_rational(a), format_rational(b), ok, *values]
-            rows.append(dict(zip(fields, row)))
-    rows.sort(key=lambda r: (Fraction(r["a"]), Fraction(r["b"])))
+            rows[ka * nb + kb] = dict(zip(fields, row))  # rows in (a, b) order
 
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:

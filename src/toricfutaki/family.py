@@ -34,8 +34,8 @@ from .exactnum import (
 
 # Largest dimension accepted, also by the CLI's polytope loader.  A report
 # on a new reference class re-triangulates the polytope, and its time grows
-# steeply with n: about 2.6 s at n = 8 and 6 to 8 s at n = 10 on a 2-core
-# machine (CLI, median of 3).
+# steeply with n: about 1.3 s at n = 8 and 3.6 s at n = 10 on a 2-core
+# machine (CLI, median of 3, speed factor 0.9 by perfbench/speed.py).
 MAX_DIM = 10
 
 

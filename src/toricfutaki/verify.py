@@ -100,27 +100,33 @@ def _random_interior_point(rng: Random, n: int, b: Fraction) -> tuple[Fraction, 
 # Individual checks.  Each returns a human-readable detail string.
 
 
+def _expect_slab_integrals(
+    n: int, b: Fraction, vol: Fraction, bd: Fraction, mom: Fraction,
+    bdmom: Fraction, c: Fraction, bulk: Fraction,
+) -> None:
+    """Compare six exact quantities of ``P(n, b)`` with closed forms: the
+    volume, the boundary measure, the body and boundary moments of ``x1``,
+    the centering constant ``c_1``, and the bulk term at ``a = b + 1``,
+    whose closed form is ``B^2 * bulk``."""
+    spec = make_spec(n, b + 1, b)
+    P = standard_blowup_polytope(n, b)
+    x1 = MultiPoly.variable(n, 0)
+    _expect_eq(volume(P), vol, f"b={b} volume")
+    _expect_eq(integrate_poly_boundary(P, 1), bd, f"b={b} boundary measure")
+    _expect_eq(integrate_poly(P, x1), mom, f"b={b} first moment")
+    _expect_eq(integrate_poly_boundary(P, x1), bdmom, f"b={b} boundary moment")
+    _expect_eq(c_constant(P, 0), c, f"b={b} centering constant")
+    _expect_eq(bulk_axis(spec, 0, P), spec.B**2 * bulk, f"b={b} bulk term")
+
+
 def _check_n2_integrals(seed: int) -> str:
-    count = 0
-    for j in range(1, 21):
-        b = 1 + Fraction(9 * j, 20)
-        spec = make_spec(2, b + 1, b)
-        P = standard_blowup_polytope(2, b)
-        x1 = MultiPoly.variable(2, 0)
-        _expect_eq(volume(P), (b**2 - 1) / 2, f"b={b} volume")
-        _expect_eq(integrate_poly_boundary(P, 1), 3 * b - 1, f"b={b} boundary measure")
-        _expect_eq(integrate_poly(P, x1), (b**3 - 1) / 6, f"b={b} first moment")
-        _expect_eq(integrate_poly_boundary(P, x1), b**2, f"b={b} boundary moment")
-        _expect_eq(
-            c_constant(P, 0), -(b**2 + b + 1) / (3 * (b + 1)), f"b={b} centering constant"
+    bs = [1 + Fraction(9 * j, 20) for j in range(1, 21)]
+    for b in bs:
+        _expect_slab_integrals(
+            2, b, (b**2 - 1) / 2, 3 * b - 1, (b**3 - 1) / 6, b**2,
+            -(b**2 + b + 1) / (3 * (b + 1)), (b - 1) ** 3 / (6 * b**2),
         )
-        _expect_eq(
-            bulk_axis(spec, 0, P),
-            spec.B**2 * (b - 1) ** 3 / (6 * b**2),
-            f"b={b} bulk term",
-        )
-        count += 1
-    return f"all six closed forms hold exactly at {count} values of b in (1, 10]"
+    return f"all six closed forms hold exactly at {len(bs)} values of b in (1, 10]"
 
 
 def _check_n2_ratio(seed: int) -> str:
@@ -166,27 +172,12 @@ def _check_kf_cross(seed: int) -> str:
 
 
 def _check_n3_integrals(seed: int) -> str:
-    count = 0
-    for j in range(1, 11):
-        b = 1 + Fraction(2 * j, 5)
-        spec = make_spec(3, b + 1, b)
-        P = standard_blowup_polytope(3, b)
-        x1 = MultiPoly.variable(3, 0)
-        _expect_eq(volume(P), (b**3 - 1) / 6, f"b={b} volume")
-        _expect_eq(integrate_poly_boundary(P, 1), 2 * b**2 - 1, f"b={b} boundary measure")
-        _expect_eq(integrate_poly(P, x1), (b**4 - 1) / 24, f"b={b} first moment")
-        _expect_eq(
-            integrate_poly_boundary(P, x1), (3 * b**3 - 1) / 6, f"b={b} boundary moment"
-        )
-        _expect_eq(
-            c_constant(P, 0),
+    bs = [1 + Fraction(2 * j, 5) for j in range(1, 11)]
+    for b in bs:
+        _expect_slab_integrals(
+            3, b, (b**3 - 1) / 6, 2 * b**2 - 1, (b**4 - 1) / 24, (3 * b**3 - 1) / 6,
             -(b**2 + 1) * (b + 1) / (4 * (b**2 + b + 1)),
-            f"b={b} centering constant",
-        )
-        _expect_eq(
-            bulk_axis(spec, 0, P),
-            spec.B**2 * (b**4 - 2 * b**3 + 2 * b - 1) / (8 * b**3),
-            f"b={b} bulk term",
+            (b**4 - 2 * b**3 + 2 * b - 1) / (8 * b**3),
         )
         for a in (b + 1, 2 * b):
             _expect_eq(
@@ -194,7 +185,6 @@ def _check_n3_integrals(seed: int) -> str:
                 assembled_ratio_closed_form(3, a, b),
                 f"(a,b)=({a},{b}) required ratio",
             )
-        count += 1
     rep = build_report(make_spec(3, 3, 2))
     _expect_eq(rep.required_ratio, Fraction(-49, 18), "(a,b)=(3,2) required ratio")
     _expect(
@@ -203,7 +193,7 @@ def _check_n3_integrals(seed: int) -> str:
         "denominator discrepancy note missing",
     )
     return (
-        f"all closed forms hold exactly at {count} values of b in (1, 5]; "
+        f"all closed forms hold exactly at {len(bs)} values of b in (1, 5]; "
         "(3,2) gives -49/18 and the printed denominator variant is flagged"
     )
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +26,7 @@ from toricfutaki.character import (
 )
 from toricfutaki.exactnum import MultiPoly, RadialSum
 from toricfutaki.family import make_spec
-from toricfutaki.integrate import c_constant, integrate_poly, integrate_radial_slab, volume
+from toricfutaki.integrate import integrate_poly, integrate_radial_slab, volume
 from toricfutaki.polytope import DelzantPolytope, HalfSpace, standard_blowup_polytope
 
 
@@ -116,6 +117,43 @@ class TestCharacterAndRatio:
     def test_closed_form_none_cases(self):
         assert assembled_ratio_closed_form(2, F(3), F(3)) is None
         assert assembled_ratio_closed_form(4, F(3), F(2)) is None
+
+
+def _all_n_closed_forms(n, a, b, B):
+    """The conjectured all-n closed forms ``(boundary, bulk, ratio)`` of
+    P(n, b), with ``T_n(b) = sum_j C(j+2, 2) b^j`` and
+    ``S_n(b) = (n/2) sum_j (j+1)(n-1-j) b^j`` over ``j = 0..n-2``."""
+    T = sum(comb(j + 2, 2) * b**j for j in range(n - 1))
+    S = F(n, 2) * sum((j + 1) * (n - 1 - j) * b**j for j in range(n - 1))
+    boundary = 2 * (b - 1) ** 3 * T / (factorial(n + 1) * (b**n - 1))
+    ratio = None if a == b else -(b**n - 1) * T / (b ** (n - 2) * S * (b - a) ** 2)
+    I1 = (1 - b ** (1 - n)) / ((n - 1) * factorial(n))
+    I0 = (1 - b ** (-n)) / (n * factorial(n - 1))
+    c = -((b ** (n + 1) - 1) / factorial(n + 1)) / ((b**n - 1) / factorial(n))
+    bulk = -comb(n, 2) * B**2 * (I1 + c * I0)
+    return boundary, bulk, ratio
+
+
+_CLOSED_FORM_PAIRS = [
+    (F(11), F(3)), (F(7, 2), F(5, 2)), (F(5, 3), F(3)), (F(3), F(3)), (F(9, 4), F(7, 5)),
+]
+
+
+class TestAllNClosedForms:
+    """Sample points, not a proof: the exact report equals the all-n closed
+    forms of the boundary term, the bulk term and the required ratio.
+    A report at n = 7 takes over half a second, so n = 7 runs on one pair."""
+
+    @pytest.mark.parametrize(
+        "n, a, b",
+        [(n, a, b) for n in range(2, 7) for a, b in _CLOSED_FORM_PAIRS] + [(7, F(7, 2), F(5, 2))],
+        ids=str,
+    )
+    def test_report_matches_closed_forms(self, n, a, b):
+        rep = build_report(make_spec(n, a, b, force=True))
+        assert (rep.boundary_term, rep.bulk_term, rep.required_ratio) == _all_n_closed_forms(
+            n, a, b, rep.B
+        )
 
 
 class TestVerdicts:
@@ -265,8 +303,8 @@ class TestSlabMemo:
         slab = _slab_terms(n, spec.b)
         bd, bk = _axis_terms(spec)
         assert len(slab) == n
-        for i, (c, boundary) in enumerate(slab):
-            assert c == c_constant(P, i)
+        for i, (affine, boundary) in enumerate(slab):
+            assert affine == normalized_affine(P, i)
             assert boundary == classical_futaki_axis(P, i) == bd
             assert bulk_axis(spec, i, P) == bk
 

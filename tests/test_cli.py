@@ -172,6 +172,17 @@ class TestScan:
         assert len(lines) == 45
         assert "2,11,3,True,1/3,4/3,-1/8,ObstructedForPositiveAlpha" in lines
 
+    def test_csv_with_json_refused_before_any_row(self, capsys, monkeypatch, tmp_path):
+        def fail(*args, **kwargs):
+            raise AssertionError("a row was computed")
+
+        monkeypatch.setattr(cli, "make_spec", fail)
+        monkeypatch.setattr(cli, "build_report", fail)
+        path = tmp_path / "scan.csv"
+        rc, out, err = run(capsys, *self.ARGS, "--csv", str(path), "--json")
+        assert (rc, out, err) == (1, "", "error: give either --csv or --json, not both\n")
+        assert not path.exists()
+
     def test_json_output_is_deterministic(self, capsys):
         rc1, out1, _ = run(capsys, *self.ARGS, "--json")
         rc2, out2, _ = run(capsys, *self.ARGS, "--json")

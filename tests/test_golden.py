@@ -5,11 +5,14 @@ Each case runs in an empty working directory holding a copy of
 ``golden/polytope.json``, so ``--file polytope.json`` and ``--csv rows.csv``
 are the same relative paths in every run and the manifest's ``source``
 never varies.  ``COLUMNS`` is pinned because argparse wraps its usage
-messages to the terminal width.
+messages to the terminal width.  ``replay_golden_without_numpy.py`` replays
+the same corpus, less its floating-point cases, with numpy unimportable.
 """
 
 import json
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -33,3 +36,13 @@ def test_golden_cli_output(case, capsys, monkeypatch, tmp_path):
     assert rc == case["exit"]
     if "csv" in case:
         assert (tmp_path / case["csv"]).read_bytes() == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def test_corpus_replays_without_numpy():
+    # A fresh interpreter, so that numpy is blocked before the package loads.
+    script = Path(__file__).parent / "replay_golden_without_numpy.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stderr) == (0, ""), proc.stdout + proc.stderr
+    replayed = len(CASES) - 4
+    assert proc.stdout.startswith(f"{replayed}/{replayed} cases identical without numpy")
